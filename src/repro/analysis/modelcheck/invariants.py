@@ -1,4 +1,5 @@
-"""Invariant predicates shared by the model checker and the sanitizer.
+"""Invariant predicates shared by the model checker, the sanitizer, the
+coherence-arc lint and the tests.
 
 Everything here is *read-only* over machine state: the predicates return
 lists of human-readable problem strings (empty = invariant holds), never
@@ -10,7 +11,8 @@ Checked families:
 * **SWMR / directory consistency** (:func:`check_swmr`) — at most one
   unique (UC/UD) copy system-wide, a unique copy is the *only* copy,
   and the directory's owner/sharer bookkeeping matches the private
-  caches in both directions.
+  caches in both directions.  This is the repo's one definition of
+  coherence: callers assert that it returns no problems.
 * **Data values** (:func:`check_values`) — the machine's architectural
   memory equals a sequential shadow built by applying the schedule's
   ops in order (reads return the last write in serialization order;
@@ -58,7 +60,13 @@ class Violation:
 # --- SWMR / directory consistency -----------------------------------------
 
 def check_swmr(machine: Machine) -> List[str]:
-    """Single-writer-multiple-readers + directory agreement, both ways."""
+    """Single-writer-multiple-readers + directory agreement, both ways.
+
+    Cache -> directory: every copy is tracked; UC/UD/SD copies belong to
+    the directory owner and SC copies to its sharers.  Directory ->
+    cache: the owner holds a non-SC copy and every sharer a non-unique
+    one.
+    """
     problems: List[str] = []
     directory = machine.directory
     # Cache -> directory: every resident copy is tracked correctly.

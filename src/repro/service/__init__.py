@@ -7,16 +7,19 @@ store:
 
 * :mod:`repro.service.api` — request validation (checked-in JSON
   schema + semantic checks) and spec parsing;
-* :mod:`repro.service.cache` — single-flight deduplicating front over
-  :class:`~repro.harness.executor.ResultStore` with hit/miss counters;
-* :mod:`repro.service.scheduler` — bounded worker pool, job/cell
+* :mod:`repro.service.cache` — counting front over
+  :class:`~repro.harness.executor.ResultStore` (load, or compute and
+  store) with hit/miss counters;
+* :mod:`repro.service.scheduler` — bounded worker pool, the one
+  in-flight table (joiners park on a computing key), job/cell
   lifecycle tracking, service latency histogram;
 * :mod:`repro.service.app` — the HTTP server and routes
   (``POST /v1/batch``, ``GET /v1/batch/<id>``,
   ``GET /v1/batch/<id>/events``, ``GET /v1/healthz``,
   ``GET /v1/stats``);
-* :mod:`repro.service.loadgen` — deterministic Zipf request-trace
-  generation for load tests;
+* :mod:`repro.service.loadgen` — deterministic Zipf request traces
+  for load tests, drawn from
+  :class:`~repro.workloads.txn.zipf.ZipfSampler`;
 * :mod:`repro.service.smoke` — the CI smoke entry point
   (``python -m repro.service.smoke``).
 """

@@ -1,19 +1,20 @@
-"""Single-flight cache front: concurrent identical requests compute once.
+"""Counting store front: the service's hit/compute/join counters.
 
 A popular cell under Zipf traffic is requested many times in the window
-where it is still being simulated.  Without deduplication every one of
-those requests would occupy a worker recomputing the same result; with
-it, the first request (the *leader*) computes and every concurrent
-duplicate (*joiner*) waits on the leader's flight and shares its
-result.  The flight table is in-process state layered over the
-(process-shared) :class:`~repro.harness.executor.ResultStore`.
+where it is still being simulated.  Deduplication happens in one place,
+the :class:`~repro.service.scheduler.Scheduler`'s waiter table: the
+first request for a key (the *leader*) runs a flight, and every
+concurrent duplicate (*joiner*) is parked on it and shares its result.
+:class:`SingleFlightCache` is what the leader's flight calls: a load,
+or a compute and store, over the (process-shared)
+:class:`~repro.harness.executor.ResultStore`, plus the counters.
 
 Counter semantics (reported by ``GET /v1/stats``):
 
 * ``hits`` — requests answered from the store (memo or disk) without
   entering a flight;
 * ``computed`` — simulations actually executed (== distinct misses);
-* ``joined`` — requests that waited on another request's flight;
+* ``joined`` — requests parked on another request's flight;
 * ``misses`` = ``computed + joined`` — requests that found nothing in
   the store at arrival time;
 * ``errors`` — flights whose compute raised.
@@ -47,115 +48,47 @@ class CacheStats:
         with self._lock:
             setattr(self, field, getattr(self, field) + n)
 
-    @property
-    def misses(self) -> int:
-        return self.computed + self.joined
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def as_dict(self) -> Dict[str, object]:
         with self._lock:
+            misses = self.computed + self.joined
+            total = self.hits + misses
             return {
                 "hits": self.hits,
                 "computed": self.computed,
                 "joined": self.joined,
-                "misses": self.computed + self.joined,
+                "misses": misses,
                 "errors": self.errors,
-                "hit_ratio": (self.hits / (self.hits + self.computed
-                                           + self.joined)
-                              if self.hits + self.computed + self.joined
-                              else 0.0),
+                "hit_ratio": self.hits / total if total else 0.0,
             }
 
 
-class _Flight:
-    """One in-progress computation that duplicates can wait on."""
-
-    __slots__ = ("done", "result", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Optional[SimulationResult] = None
-        self.error: Optional[BaseException] = None
-
-    def finish(self, result: Optional[SimulationResult],
-               error: Optional[BaseException]) -> None:
-        self.result = result
-        self.error = error
-        self.done.set()
-
-    def wait(self) -> SimulationResult:
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
-
-
 class SingleFlightCache:
-    """Deduplicating, counting front over a :class:`ResultStore`.
+    """Counting front over a :class:`ResultStore`.
 
     :meth:`get` is the one entry point: it returns ``(result, source)``
-    where ``source`` is :data:`SOURCE_CACHE`, :data:`SOURCE_COMPUTED`
-    or :data:`SOURCE_JOINED`.  A compute error propagates to the leader
-    *and* every joiner of that flight (each joiner re-raises the
-    leader's exception); nothing is stored, so a later request retries.
+    where ``source`` is :data:`SOURCE_CACHE` or :data:`SOURCE_COMPUTED`.
+    It does not deduplicate by itself; the Scheduler's waiter table
+    hands it at most one call per key at a time.  A compute error is
+    counted and re-raised, never stored, so a later request retries.
     """
 
     def __init__(self, store: Optional[ResultStore] = None) -> None:
         self.store = store if store is not None else ResultStore()
         self.stats = CacheStats()
-        self._lock = threading.Lock()
-        self._flights: Dict[str, _Flight] = {}
-
-    def in_flight(self) -> int:
-        """Number of keys currently being computed."""
-        with self._lock:
-            return len(self._flights)
 
     def get(self, spec: RunSpec,
             compute: Callable[[RunSpec], SimulationResult]
             ) -> Tuple[SimulationResult, str]:
-        """Serve ``spec`` from store, flight, or a fresh computation."""
+        """Serve ``spec`` from the store, or compute and store it."""
         cached = self.store.load(spec)
         if cached is not None:
             self.stats.count("hits")
             return cached, SOURCE_CACHE
-        key = spec.cache_key()
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            self.stats.count("joined")
-            return flight.wait(), SOURCE_JOINED
         try:
-            # Re-check under the flight: the store may have been filled
-            # between the miss above and this flight winning the table
-            # slot (e.g. a previous flight for the same key finishing).
-            result = self.store.load(spec)
-            if result is not None:
-                self.stats.count("hits")
-                source = SOURCE_CACHE
-            else:
-                result = compute(spec)
-                self.store.store(spec, result)
-                self.stats.count("computed")
-                source = SOURCE_COMPUTED
-        except BaseException as exc:
+            result = compute(spec)
+        except BaseException:
             self.stats.count("errors")
-            flight.finish(None, exc)
-            with self._lock:
-                self._flights.pop(key, None)
             raise
-        flight.finish(result, None)
-        with self._lock:
-            self._flights.pop(key, None)
-        return result, source
+        self.store.store(spec, result)
+        self.stats.count("computed")
+        return result, SOURCE_COMPUTED

@@ -10,30 +10,22 @@ Zipf(``alpha``) law over a ranked universe reproduces that shape;
 universes need a steeper law for the same split — for a few dozen
 items, ``alpha`` ≈ 1.5 puts ~80% of requests on the top ~20%.
 
-Everything here is seeded and stdlib-only (``random.Random``), so a
-load test replays the *identical* request sequence on every run —
-hit-ratio and dedup assertions stay exact, not statistical.
+Traces are drawn from the transactional workloads' seeded
+:class:`~repro.workloads.txn.zipf.ZipfSampler`, so a load test replays
+the *identical* request sequence on every run — hit-ratio and dedup
+assertions stay exact, not statistical.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Sequence, TypeVar
+
+from repro.workloads.txn.zipf import DEFAULT_ALPHA, ZipfSampler
 
 T = TypeVar("T")
 
-#: Classic web-caching Zipf exponent (80/20 at large universe sizes).
-DEFAULT_ALPHA = 1.16
-
 #: Exponent giving the 80/20 split on a few-dozen-item universe.
 SMALL_UNIVERSE_ALPHA = 1.5
-
-
-def zipf_weights(n: int, alpha: float = DEFAULT_ALPHA) -> List[float]:
-    """Unnormalized Zipf weights for ranks ``1..n`` (rank 0 hottest)."""
-    if n < 1:
-        raise ValueError(f"need at least one item, got {n}")
-    return [1.0 / (rank ** alpha) for rank in range(1, n + 1)]
 
 
 def zipf_trace(universe: Sequence[T], length: int, seed: int = 0,
@@ -44,17 +36,17 @@ def zipf_trace(universe: Sequence[T], length: int, seed: int = 0,
     The same (universe length, length, seed, alpha) always produces the
     same trace.
     """
-    rng = random.Random(seed)
-    weights = zipf_weights(len(universe), alpha)
-    return rng.choices(list(universe), weights=weights, k=length)
+    sampler = ZipfSampler(len(universe), alpha, seed)
+    return [universe[sampler.sample()] for _ in range(length)]
 
 
 def head_fraction(trace: Sequence[T], universe: Sequence[T],
                   head: float = 0.2) -> float:
     """Fraction of requests landing on the top ``head`` of the universe.
 
-    The 80/20 sanity check: with the default alpha, a trace over 20+
-    items puts ~0.8 of its requests on the first 20% of ranks.
+    The 80/20 sanity check: at the alpha that suits the universe size
+    (see the module docstring), ~0.8 of the requests land on the first
+    20% of ranks.
     """
     if not trace:
         return 0.0

@@ -1,17 +1,17 @@
-"""Job scheduling: a bounded worker pool over the single-flight cache.
+"""Job scheduling: a bounded worker pool over the counting store front.
 
 ``submit`` answers cache hits synchronously (no worker involved) and
 fans misses out over a ``ThreadPoolExecutor``.  Deduplication happens
-at two levels:
-
-* **Scheduler-level** — while a key is being computed, later cells for
-  the same key (same job or another job) are parked as *waiters* on the
-  pending flight instead of occupying a pool slot.  This matters for
-  liveness: if joiners blocked inside workers, a small pool could fill
-  up with waiters for a leader stuck behind them in the queue.
-* **Cache-level** — :class:`~repro.service.cache.SingleFlightCache`
-  re-checks the store under the flight and keeps the counters, so
-  direct library users get the same compute-once guarantee.
+in one place, the ``_pending`` waiter table: while a key is being
+computed, later cells for the same key (same job or another job) are
+parked as *waiters* on the pending flight instead of occupying a pool
+slot.  This matters for liveness: if joiners blocked inside workers, a
+small pool could fill up with waiters for a leader stuck behind them
+in the queue.  A flight's entry is popped only after
+:meth:`~repro.service.cache.SingleFlightCache.get` returns, so ``get``
+never sees two concurrent callers for one key; its store load covers
+the case where an earlier flight for the key finished between a
+cell's miss in ``submit`` and its own flight starting.
 
 Per-cell service latency (submit to completion) feeds a
 :class:`~repro.obs.histogram.Log2Histogram` — the same fixed-bucket

@@ -7,11 +7,14 @@ ranked object table reproduces the shape; ``alpha`` around 1.1 gives
 the classic 80/20 concentration, smaller exponents flatten towards
 uniform and larger ones sharpen the head.
 
-Unlike :mod:`repro.service.loadgen` (which pre-materializes whole
-request traces for load tests), this sampler is *incremental*: each
-thread owns one seeded sampler and draws object ranks as its program
-generator runs, so workload memory stays O(objects) rather than
-O(operations) and per-thread streams are independent yet reproducible.
+The sampler is *incremental*: each thread owns one seeded sampler and
+draws object ranks as its program generator runs, so workload memory
+stays O(objects) rather than O(operations) and per-thread streams are
+independent yet reproducible.  It is the repo's only Zipf sampler:
+:func:`repro.service.loadgen.zipf_trace` materializes service load-test
+traces from it.  Each draw bisects the cumulative weights once per
+``random()`` call, exactly as ``random.Random.choices`` does, so those
+traces match what ``choices`` would produce for the same seed.
 """
 
 from __future__ import annotations

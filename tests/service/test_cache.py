@@ -1,5 +1,11 @@
 """Cache-layer correctness: single-flight dedup, eviction, interleavings.
 
+Single-flight dedup lives in the Scheduler's in-flight table, so those
+tests drive a :class:`Scheduler` directly (no HTTP): identical
+concurrent submits compute once, a failing flight's error reaches every
+parked joiner and is never cached, and parked joiners never hold the
+pool slot their leader needs.
+
 The store property test drives random store/load/evict interleavings
 against a shadow model and checks two invariants after every step:
 a load never returns a *wrong* result (stale-but-evicted is a miss,
@@ -11,78 +17,112 @@ import json
 import os
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.executor import (ResultStore, make_spec,
                                     serialize_result)
-from repro.service.cache import SingleFlightCache
+from repro.service.scheduler import Scheduler
 from tests.service.conftest import stub_compute
 
 SPECS = [make_spec("HIST", "all-near", threads=8, scale=0.5, seed=s)
          for s in range(5)]
 
 
-# --- single-flight ----------------------------------------------------
+# --- single-flight (the Scheduler's in-flight table) ------------------
 
 
-def test_single_flight_computes_once_under_contention(tmp_path):
-    cache = SingleFlightCache(ResultStore(str(tmp_path)))
+@pytest.fixture
+def make_scheduler(tmp_path):
+    """Build Schedulers over one fresh store; shut them all down after."""
+    made = []
+
+    def build(compute, workers=4):
+        scheduler = Scheduler(ResultStore(str(tmp_path)), workers=workers,
+                              compute=compute)
+        made.append(scheduler)
+        return scheduler
+
+    yield build
+    for scheduler in made:
+        scheduler.shutdown()
+
+
+def _settle(*jobs):
+    for job in jobs:
+        assert job.wait(10), f"job {job.id} did not settle"
+
+
+def test_single_flight_computes_once_under_contention(make_scheduler):
     spec = SPECS[0]
     computes = []
-    enter = threading.Barrier(8)
 
     def slow_compute(s):
         computes.append(s.cache_key())
+        time.sleep(0.05)  # keep the flight open while the others arrive
         return stub_compute(s)
 
-    results = [None] * 8
-    sources = [None] * 8
+    scheduler = make_scheduler(slow_compute)
+    enter = threading.Barrier(8)
+    jobs = [None] * 8
 
     def worker(i):
-        enter.wait()  # all 8 threads request the same key together
-        results[i], sources[i] = cache.get(spec, slow_compute)
+        enter.wait()  # all 8 threads submit the same key together
+        jobs[i] = scheduler.submit([spec])
 
     threads = [threading.Thread(target=worker, args=(i,))
                for i in range(8)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(10)
+        assert not t.is_alive(), "submit must not block"
+    _settle(*jobs)
 
+    cells = [job.cells[0] for job in jobs]
     assert len(computes) == 1, "concurrent identical requests compute once"
-    wires = {json.dumps(serialize_result(r), sort_keys=True)
-             for r in results}
+    wires = {json.dumps(cell.result, sort_keys=True) for cell in cells}
     assert len(wires) == 1, "every caller sees the same result"
+    sources = [cell.source for cell in cells]
     assert sources.count("computed") == 1
     assert set(sources) <= {"computed", "joined", "cache"}
-    assert cache.stats.computed == 1
-    assert cache.stats.joined + cache.stats.hits == 7
+    stats = scheduler.cache.stats
+    assert stats.computed == 1
+    assert stats.joined + stats.hits == 7
 
 
-def test_single_flight_propagates_errors_and_retries(tmp_path):
-    cache = SingleFlightCache(ResultStore(str(tmp_path)))
+def test_single_flight_propagates_errors_and_retries(make_scheduler):
     spec = SPECS[0]
     calls = []
 
-    def failing(s):
+    def fails_once(s):
         calls.append(1)
-        raise ValueError("seeded failure")
+        if len(calls) == 1:
+            raise ValueError("seeded failure")
+        return stub_compute(s)
 
-    with pytest.raises(ValueError, match="seeded failure"):
-        cache.get(spec, failing)
-    assert cache.stats.errors == 1
+    scheduler = make_scheduler(fails_once)
+    failed = scheduler.submit([spec])
+    _settle(failed)
+    assert failed.cells[0].status == "error"
+    assert "seeded failure" in failed.cells[0].error
+    assert scheduler.cache.stats.errors == 1
     # The failure was not cached: the next request retries the compute.
-    result, source = cache.get(spec, stub_compute)
-    assert source == "computed"
-    assert len(calls) == 1
+    retry = scheduler.submit([spec])
+    _settle(retry)
+    assert retry.cells[0].source == "computed"
+    assert len(calls) == 2
     # ... and the retry's success is served from cache afterwards.
-    assert cache.get(spec, failing)[1] == "cache"
+    again = scheduler.submit([spec])
+    _settle(again)
+    assert again.cells[0].source == "cache"
+    assert len(calls) == 2
+    assert scheduler.cache.stats.errors == 1
 
 
-def test_error_reaches_every_joiner(tmp_path):
-    cache = SingleFlightCache(ResultStore(str(tmp_path)))
+def test_error_reaches_every_joiner(make_scheduler):
     spec = SPECS[1]
     release = threading.Event()
     entered = threading.Event()
@@ -92,31 +132,47 @@ def test_error_reaches_every_joiner(tmp_path):
         release.wait(10)
         raise RuntimeError("flight failed")
 
-    failures = []
-
-    def leader():
-        try:
-            cache.get(spec, blocking_fail)
-        except RuntimeError as exc:
-            failures.append(str(exc))
-
-    def joiner():
-        entered.wait(10)
-        try:
-            cache.get(spec, blocking_fail)
-        except RuntimeError as exc:
-            failures.append(str(exc))
-
-    threads = [threading.Thread(target=leader),
-               threading.Thread(target=joiner)]
-    threads[0].start()
-    entered.wait(10)
-    threads[1].start()
-    # Give the joiner a moment to join the flight, then release it.
+    scheduler = make_scheduler(blocking_fail)
+    leader = scheduler.submit([spec])
+    assert entered.wait(10)
+    joiners = [scheduler.submit([spec]) for _ in range(2)]
+    assert scheduler.cache.stats.joined == 2, "joiners park on the flight"
     release.set()
-    for t in threads:
-        t.join(10)
-    assert failures == ["flight failed", "flight failed"]
+    _settle(leader, *joiners)
+    errors = [job.cells[0].error for job in (leader, *joiners)]
+    assert errors == ["RuntimeError: flight failed"] * 3
+    assert all(job.cells[0].status == "error"
+               for job in (leader, *joiners))
+    assert scheduler.cache.stats.errors == 1
+
+
+def test_joiners_never_starve_a_one_worker_pool(make_scheduler):
+    """Parked joiners hold no pool slot: the one worker stays free."""
+    hot, cold = SPECS[2], SPECS[3]
+    release = threading.Event()
+    entered = threading.Event()
+
+    def compute(s):
+        if s.cache_key() == hot.cache_key():
+            entered.set()
+            release.wait(10)
+        return stub_compute(s)
+
+    scheduler = make_scheduler(compute, workers=1)
+    leader = scheduler.submit([hot])
+    assert entered.wait(10)
+    joiners = [scheduler.submit([hot]), scheduler.submit([hot]),
+               scheduler.submit([hot, cold])]
+    cells = scheduler.stats()["cells"]
+    assert (cells["in_flight"], cells["queue_depth"]) == (1, 1), \
+        "hot holds the one worker; cold queues behind it"
+    release.set()
+    _settle(leader, *joiners)
+    assert all(cell.status == "done"
+               for job in (leader, *joiners) for cell in job.cells)
+    stats = scheduler.cache.stats
+    assert stats.computed == 2
+    assert stats.joined == 3
 
 
 # --- store/load/evict interleavings (property test) -------------------
