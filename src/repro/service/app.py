@@ -76,6 +76,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Keep-alive lets one client poll a job over one connection.
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate small writes; with Nagle on,
+    # the body waits for the client's delayed ACK (~40 ms a response).
+    disable_nagle_algorithm = True
 
     # --- plumbing -----------------------------------------------------
 
@@ -88,6 +91,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -146,12 +151,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _post_batch(self) -> None:
+        # Both early 400s leave the body unread: close the connection,
+        # or its bytes would be parsed as the next request.
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            self.close_connection = True
             self._error(400, "bad Content-Length header")
             return
         if length <= 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True
             self._error(400, f"body length {length} outside "
                              f"(0, {MAX_BODY_BYTES}]")
             return

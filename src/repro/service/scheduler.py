@@ -13,6 +13,11 @@ never sees two concurrent callers for one key; its store load covers
 the case where an earlier flight for the key finished between a
 cell's miss in ``submit`` and its own flight starting.
 
+A finished cell references the :class:`SimulationResult` its store load
+or flight returned (for a hit, the object the store's memo already
+holds) and serialises it only when a snapshot asks for results, so a
+retained job costs no per-cell copy of the wire payload.
+
 Per-cell service latency (submit to completion) feeds a
 :class:`~repro.obs.histogram.Log2Histogram` — the same fixed-bucket
 machinery the simulator's observability uses — reported by
@@ -54,7 +59,7 @@ class Cell:
         self.spec = spec
         self.status = QUEUED
         self.source: Optional[str] = None
-        self.result: Optional[Dict] = None  # serialized, wire-ready
+        self.result: Optional[SimulationResult] = None
         self.error: Optional[str] = None
         self.wall_ms: Optional[float] = None
         self._t0 = time.monotonic()
@@ -72,7 +77,7 @@ class Cell:
         if self.error is not None:
             out["error"] = self.error
         if include_results and self.result is not None:
-            out["result"] = self.result
+            out["result"] = serialize_result(self.result)
         return out
 
 
@@ -215,8 +220,7 @@ class Scheduler:
             cached = self.cache.store.load(cell.spec)
             if cached is not None:
                 self.cache.stats.count("hits")
-                self._finish_cell(job, cell, DONE, "cache",
-                                  serialize_result(cached))
+                self._finish_cell(job, cell, DONE, "cache", cached)
                 continue
             key = cell.spec.cache_key()
             with self._lock:
@@ -256,13 +260,13 @@ class Scheduler:
                 self._finish_cell(waiter_job, cell, ERROR, None, None,
                                   error=message)
             return
-        wire = serialize_result(result)
         for i, (waiter_job, cell) in enumerate(waiters):
             cell_source = source if i == 0 else SOURCE_JOINED
-            self._finish_cell(waiter_job, cell, DONE, cell_source, wire)
+            self._finish_cell(waiter_job, cell, DONE, cell_source, result)
 
     def _finish_cell(self, job: Job, cell: Cell, status: str,
-                     source: Optional[str], result: Optional[Dict],
+                     source: Optional[str],
+                     result: Optional[SimulationResult],
                      error: Optional[str] = None) -> None:
         cell.wall_ms = (time.monotonic() - cell._t0) * 1e3
         cell.source = source

@@ -9,11 +9,16 @@ an ephemeral port, then:
    digest corpus is present — verifies the served result is
    bit-identical to ``tests/golden/digests.json``;
 3. re-posts the same batch and requires it to be answered from the
-   cache (hit ratio > 0 afterwards);
+   cache (hit ratio > 0 afterwards), printing that POST + GET round
+   trip's wall time;
 4. validates the ``GET /v1/stats`` document against the checked-in
    schema (``tests/schemas/serve.schema.json``) with the same
    dependency-free validator the other CI schema jobs use;
 5. shuts the server down cleanly.
+
+Every call goes over one keep-alive ``http.client`` connection, as a
+polling client's would, so a response that stalls on the client's
+delayed ACK shows in the printed round-trip time.
 
 Exit 0 on success, 1 with a reason otherwise.
 """
@@ -22,11 +27,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import http.client
 import json
 import sys
 import tempfile
-import urllib.error
-import urllib.request
+import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.harness.executor import ResultStore
@@ -41,20 +46,15 @@ SMOKE_CELL = {"workload": "WAT", "policy": "present-near",
 DEFAULT_SCHEMA = "tests/schemas/serve.schema.json"
 
 
-def _request(base: str, path: str, payload: Optional[Dict] = None
-             ) -> Tuple[int, Any]:
-    url = base + path
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode()
-        headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(url, data=data, headers=headers)
-    try:
-        with urllib.request.urlopen(req, timeout=120) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+def _request(conn: http.client.HTTPConnection, path: str,
+             payload: Optional[Dict] = None) -> Tuple[int, Any]:
+    if payload is None:
+        conn.request("GET", path)
+    else:
+        conn.request("POST", path, body=json.dumps(payload).encode(),
+                     headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -71,26 +71,29 @@ def main(argv: Optional[list] = None) -> int:
         server = make_server(port=0, workers=2,
                              store=ResultStore(cache_dir))
         serve(server)
-        base = f"http://127.0.0.1:{server.port}"
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=120)
         try:
-            return _smoke(base, args)
+            return _smoke(conn, args)
         finally:
+            conn.close()
             server.close()
 
 
-def _smoke(base: str, args: argparse.Namespace) -> int:
-    status, health = _request(base, "/v1/healthz")
+def _smoke(conn: http.client.HTTPConnection,
+           args: argparse.Namespace) -> int:
+    status, health = _request(conn, "/v1/healthz")
     if status != 200 or health.get("status") != "ok":
         print(f"smoke: healthz failed: {status} {health}")
         return 1
     print(f"smoke: healthz ok (uptime {health['uptime_s']}s)")
 
     batch = {"cells": [SMOKE_CELL]}
-    status, posted = _request(base, "/v1/batch", batch)
+    status, posted = _request(conn, "/v1/batch", batch)
     if status != 202:
         print(f"smoke: POST /v1/batch failed: {status} {posted}")
         return 1
-    status, job = _request(base, f"/v1/batch/{posted['job']}?wait=90")
+    status, job = _request(conn, f"/v1/batch/{posted['job']}?wait=90")
     if status != 200 or not job.get("done"):
         print(f"smoke: job did not finish: {status} {job}")
         return 1
@@ -119,14 +122,18 @@ def _smoke(base: str, args: argparse.Namespace) -> int:
             return 1
         print(f"smoke: served result bit-identical to golden {key}")
 
-    status, again = _request(base, "/v1/batch", batch)
-    status, job2 = _request(base, f"/v1/batch/{again['job']}?wait=90")
+    t0 = time.perf_counter()
+    status, again = _request(conn, "/v1/batch", batch)
+    status, job2 = _request(conn, f"/v1/batch/{again['job']}?wait=90")
+    round_trip_ms = (time.perf_counter() - t0) * 1e3
     source = job2["cells"][0].get("source")
     if source != "cache":
         print(f"smoke: repeat batch not served from cache: {source}")
         return 1
+    print(f"smoke: cached re-post round trip {round_trip_ms:.1f} ms "
+          f"(keep-alive POST + GET)")
 
-    status, stats = _request(base, "/v1/stats")
+    status, stats = _request(conn, "/v1/stats")
     if status != 200:
         print(f"smoke: stats failed: {status}")
         return 1

@@ -3,8 +3,9 @@
 Single-flight dedup lives in the Scheduler's in-flight table, so those
 tests drive a :class:`Scheduler` directly (no HTTP): identical
 concurrent submits compute once, a failing flight's error reaches every
-parked joiner and is never cached, and parked joiners never hold the
-pool slot their leader needs.
+parked joiner and is never cached, parked joiners never hold the pool
+slot their leader needs, and every cell of a key shares the store's
+one result object.
 
 The store property test drives random store/load/evict interleavings
 against a shadow model and checks two invariants after every step:
@@ -83,7 +84,8 @@ def test_single_flight_computes_once_under_contention(make_scheduler):
 
     cells = [job.cells[0] for job in jobs]
     assert len(computes) == 1, "concurrent identical requests compute once"
-    wires = {json.dumps(cell.result, sort_keys=True) for cell in cells}
+    wires = {json.dumps(serialize_result(cell.result), sort_keys=True)
+             for cell in cells}
     assert len(wires) == 1, "every caller sees the same result"
     sources = [cell.source for cell in cells]
     assert sources.count("computed") == 1
@@ -173,6 +175,46 @@ def test_joiners_never_starve_a_one_worker_pool(make_scheduler):
     stats = scheduler.cache.stats
     assert stats.computed == 2
     assert stats.joined == 3
+
+
+def test_cells_share_the_store_memo_result_object(make_scheduler):
+    """Computed, joined and cached cells all reference the memo's result.
+
+    A retained job holds no per-cell copy of the wire payload: results
+    are serialised when a snapshot asks for them.
+    """
+    spec = SPECS[4]
+    release = threading.Event()
+    entered = threading.Event()
+
+    def compute(s):
+        entered.set()
+        release.wait(10)
+        return stub_compute(s)
+
+    scheduler = make_scheduler(compute)
+    leader = scheduler.submit([spec])
+    assert entered.wait(10)
+    joiners = [scheduler.submit([spec, spec]) for _ in range(2)]
+    release.set()
+    _settle(leader, *joiners)
+    hits = [scheduler.submit([spec, spec]) for _ in range(3)]
+    _settle(*hits)
+
+    jobs = [leader, *joiners, *hits]
+    cells = [cell for job in jobs for cell in job.cells]
+    assert [cell.source for cell in cells] == \
+        ["computed"] + ["joined"] * 4 + ["cache"] * 6
+    memo = scheduler.cache.store.load(spec)
+    assert memo is not None
+    assert all(cell.result is memo for cell in cells), \
+        "every cell references the store's one result object"
+    want = json.dumps(serialize_result(memo), sort_keys=True)
+    for job in jobs:
+        snapshot = json.dumps(job.snapshot(), sort_keys=True)
+        assert json.dumps(job.snapshot(), sort_keys=True) == snapshot
+        for cell in json.loads(snapshot)["cells"]:
+            assert json.dumps(cell["result"], sort_keys=True) == want
 
 
 # --- store/load/evict interleavings (property test) -------------------
