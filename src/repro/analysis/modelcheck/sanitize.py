@@ -16,7 +16,7 @@ instruction sequence it does without this module (the golden traces and
 from __future__ import annotations
 
 import os
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.analysis.modelcheck.invariants import check_swmr
 from repro.coherence.states import CacheState
@@ -124,3 +124,23 @@ class SanitizerSink(Sink):
     def finalize(self, result: Any) -> None:
         result.metadata["sanitizer"] = {
             "checks": self.checks, "sweeps": self.sweeps}
+
+
+def sanitize_cell(spec: Any) -> Tuple[Optional[str], int, int]:
+    """Simulate one :class:`~repro.harness.executor.RunSpec` uncached
+    under a fresh :class:`SanitizerSink`.
+
+    Returns ``(error, checks, sweeps)``; ``error`` is the
+    :class:`SanitizerError` message, or None when the cell ran clean.
+    Importable by path, so a process pool can sanitize a whole corpus.
+    """
+    # Imported here: the model checker imports this module and needs
+    # none of the harness.
+    from repro.harness.executor import execute_spec
+
+    sink = SanitizerSink()
+    try:
+        execute_spec(spec, extra_sinks=(sink,))
+    except SanitizerError as exc:
+        return str(exc), sink.checks, sink.sweeps
+    return None, sink.checks, sink.sweeps

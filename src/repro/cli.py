@@ -612,10 +612,13 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
+        if args.stamps and not args.trace:
+            parser.error("--stamps requires --trace")
         return _cmd_run(args)
     if args.command == "figure":
         return _cmd_figure(args)

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.executor import (RunSpec, execute_spec, make_spec,
                                     serialize_result)
-from repro.sim.events import Event, Sink
+from repro.sim.events import Event, Sink, trace_line
 from repro.sim.results import SimulationResult
 from repro.workloads import MICRO_SWEEP_CODES, TABLE_III_CODES, TXN_CODES
 
@@ -81,9 +81,7 @@ class TraceDigestSink(Sink):
         self.events = 0
 
     def on_event(self, event: Event) -> None:
-        self._sha.update(
-            json.dumps(event.as_dict(), sort_keys=True).encode())
-        self._sha.update(b"\n")
+        self._sha.update(trace_line(event).encode())
         self.events += 1
 
     def hexdigest(self) -> str:

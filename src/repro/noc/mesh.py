@@ -16,18 +16,15 @@ is modelled there (:mod:`repro.coherence.directory`).
 All pairwise distances are fixed at construction, so the mesh builds dense
 core<->slice / core<->core latency and hop tables up front; the per-message
 cost of every routing query is two list indexes.  :class:`Machine` aliases
-these tables directly in its transaction handlers.
+these tables directly in its transaction handlers.  The mesh is topology
+only: message accounting (the traffic meter and MESSAGE events) lives in
+the Machine, the one place protocol messages are generated.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
-
-from repro.noc.message import MsgType
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.sim.events import EventBus
+from typing import List, Tuple
 
 
 def mesh_dims(num_tiles: int) -> Tuple[int, int]:
@@ -54,17 +51,13 @@ class Mesh:
     """
 
     def __init__(self, num_cores: int, num_slices: int,
-                 router_latency: int = 1, link_latency: int = 1,
-                 bus: Optional["EventBus"] = None) -> None:
+                 router_latency: int = 1, link_latency: int = 1) -> None:
         if num_cores <= 0 or num_slices <= 0:
             raise ValueError("mesh needs at least one core and one slice")
         self.num_cores = num_cores
         self.num_slices = num_slices
         self.router_latency = router_latency
         self.link_latency = link_latency
-        self.bus = bus
-        #: fused traffic meter, aliased so :meth:`record` skips the bus hop.
-        self._traffic = bus.traffic if bus is not None else None
         self.cols, self.rows = mesh_dims(num_cores + num_slices)
         # Interleave RN/HN tiles: cores on even tile ids, slices on odd.
         self._core_tile = [self._tile_for(2 * i) for i in range(num_cores)]
@@ -89,40 +82,6 @@ class Mesh:
         self.c2c_lat: List[List[int]] = [
             [h * per_hop + router_latency for h in row]
             for row in self.c2c_hops]
-
-    def record(self, msg: MsgType, hops: int, count: int = 1,
-               enqueue: Optional[int] = None,
-               dequeue: Optional[int] = None) -> None:
-        """Account ``count`` messages of class ``msg`` travelling ``hops``.
-
-        The mesh is the single gateway for protocol-message accounting:
-        it feeds the fused traffic meter and, when event sinks are
-        attached, emits a MESSAGE event per call.  Request messages that
-        serialize at a home node pass ``enqueue`` (arrival cycle at the
-        ordering point) and ``dequeue`` (the cycle the HN started
-        servicing them); the difference is the message's queueing delay,
-        which observability sinks histogram.
-        """
-        meter = self._traffic
-        if meter is None:
-            return
-        # Inlined TrafficMeter.record: this is the most frequent
-        # accounting call in a simulation.
-        meter.messages[msg] += count
-        flits = msg.flits * count
-        meter.flits += flits
-        meter.flit_hops += flits * hops
-        bus = self.bus
-        if bus.active:
-            # Imported here, not at module level: repro.sim.events pulls
-            # in repro.noc.message, so a top-level import would be
-            # circular for any entry through the noc package.
-            from repro.sim.events import Event, EventKind
-            info: dict = {"msg": msg.name, "hops": hops, "count": count}
-            if enqueue is not None and dequeue is not None:
-                info["enqueue"] = enqueue
-                info["dequeue"] = dequeue
-            bus.emit(Event(EventKind.MESSAGE, bus.now, info=info))
 
     def _tile_for(self, tile_id: int) -> Tuple[int, int]:
         total = self.cols * self.rows

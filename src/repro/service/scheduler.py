@@ -124,21 +124,25 @@ class Job:
         """
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
-        seen = 0
+        # Cells settle in any index order, so track what was yielded by
+        # index rather than as a prefix of the settled list.
+        yielded: set = set()
         while True:
             with self._cond:
-                while self._completed == seen and \
+                while self._completed <= len(yielded) and \
                         self._completed < len(self.cells):
                     remaining = (None if deadline is None
                                  else deadline - time.monotonic())
                     if remaining is not None and remaining <= 0:
                         return
                     self._cond.wait(remaining)
-                settled = [c for c in self.cells if c.status in (DONE, ERROR)]
-            for cell in settled[seen:]:
+                fresh = [c for c in self.cells
+                         if c.status in (DONE, ERROR)
+                         and c.index not in yielded]
+            for cell in fresh:
+                yielded.add(cell.index)
                 yield cell
-            seen = len(settled)
-            if seen == len(self.cells):
+            if len(yielded) == len(self.cells):
                 return
 
     def snapshot(self, include_results: bool = True) -> Dict:

@@ -1,9 +1,9 @@
 """Instrumentation bus: typed simulation events decoupled from timing.
 
-The machine, the private caches, the home nodes and the mesh *emit*
-events (AMO placements, snoops, invalidations, LLC/DRAM accesses, line
-handoffs, protocol messages) to an :class:`EventBus` instead of owning
-their observability.  Consumers subscribe :class:`Sink` objects:
+The machine, the private caches and the home nodes *emit* events (AMO
+placements, snoops, invalidations, LLC/DRAM accesses, line handoffs,
+protocol messages) to an :class:`EventBus` instead of owning their
+observability.  Consumers subscribe :class:`Sink` objects:
 
 * the three *stock* sinks — :class:`StatsSink` (the `MachineStats`
   counter block), :class:`TrafficSink` (the NoC `TrafficMeter`) and the
@@ -104,6 +104,12 @@ class Event:
         return f"Event({self.as_dict()!r})"
 
 
+def trace_line(event: Event) -> str:
+    """One JSONL trace record, newline included: the bytes ``--trace``
+    files hold and the golden trace digests hash."""
+    return json.dumps(event.as_dict(), sort_keys=True) + "\n"
+
+
 class Sink:
     """Base event consumer.
 
@@ -165,7 +171,7 @@ class TrafficSink(Sink):
 
 
 class EventBus:
-    """Connects emitters (machine, caches, home nodes, mesh) to sinks.
+    """Connects emitters (machine, caches, home nodes) to sinks.
 
     ``active`` is True iff at least one subscribed sink wants per-event
     dispatch; emitters guard every :meth:`emit` call on it.  ``now`` is
@@ -269,8 +275,7 @@ class TraceSink(Sink):
             self.near_events += 1
         elif event.kind is EventKind.AMO_FAR:
             self.far_events += 1
-        self._fh.write(json.dumps(event.as_dict(), sort_keys=True))
-        self._fh.write("\n")
+        self._fh.write(trace_line(event))
         self.events_written += 1
 
     def close(self) -> None:

@@ -45,8 +45,9 @@ from repro.sim.events import Event, EventBus, EventKind
 
 # Message-class members and their flit sizes, bound as module constants
 # for the inline traffic accounting in the handlers below (the inline
-# form is TrafficMeter.record with count=1; mesh.record remains the
-# gateway whenever event sinks are attached).
+# form is TrafficMeter.record with count=1).  The Machine is the only
+# message-accounting site: every message is counted inline, and with
+# event sinks attached it is also emitted through Machine._message.
 _READ_REQ, _F_READ_REQ = MsgType.READ_REQ, MsgType.READ_REQ.flits
 _ATOMIC_REQ, _F_ATOMIC_REQ = MsgType.ATOMIC_REQ, MsgType.ATOMIC_REQ.flits
 _COMP_DATA, _F_COMP_DATA = MsgType.COMP_DATA, MsgType.COMP_DATA.flits
@@ -105,8 +106,7 @@ class Machine:
         self.policy_name = policy_name
         self.bus = bus if bus is not None else EventBus()
         self.mesh = Mesh(config.num_cores, config.llc_slices,
-                         config.router_latency, config.link_latency,
-                         bus=self.bus)
+                         config.router_latency, config.link_latency)
         self.addr_map = AddressMap(config.llc_slices, config.mem_channels)
         self.memory = HbmMemory(config.mem_channels, config.mem_latency,
                                 config.mem_service_cycles)
@@ -155,24 +155,21 @@ class Machine:
         self._c2s_hops = self.mesh.c2s_hops
         self._s2c_hops = self.mesh.s2c_hops
         self._c2c_hops = self.mesh.c2c_hops
-        self._record = self.mesh.record
         # Per-core L1/L2 set arrays (geometry is identical across cores),
-        # the directory's entry dict, and the traffic meter — aliased for
-        # the inlined lookup and accounting fast paths in the handlers.
+        # the directory's entry dict, and the traffic meter's message
+        # Counter — aliased for the inlined lookup and accounting fast
+        # paths in the handlers.
         # The inline accounting below is exactly TrafficMeter.record with
-        # count=1; whenever the bus is active (event sinks attached) the
-        # handlers fall back to mesh.record, the single gateway that also
-        # emits MESSAGE events.
+        # count=1, on every path; whenever the bus is active (event sinks
+        # attached) each site then emits its MESSAGE event via _message.
         self._l1sets = [p._l1_sets for p in self.privates]
         self._l2sets = [p._l2_sets for p in self.privates]
         self._l1n = self.privates[0]._l1_nsets if self.privates else 1
         self._l2n = self.privates[0]._l2_nsets if self.privates else 1
         self._dir_entries = self.directory._entries
-        self._tmeter = self.mesh._traffic
-        self._tmsgs = (self._tmeter.messages
-                       if self._tmeter is not None else None)
+        self._tmsgs = self.traffic.messages
         # Per-op cycle-breakdown scratch (attribution stamps).  None on
-        # the default path; the stamped wrappers install a fresh dict per
+        # the default path; _execute_stamped installs a fresh dict per
         # op and the transaction helpers add the components they already
         # compute.  The helpers' ``if bd is not None`` guards sit off the
         # L1-hit fast paths, so default-mode cost is zero.
@@ -189,105 +186,68 @@ class Machine:
         value for AMO_LOAD, a :class:`DeferredRead` for READ (the engine
         resolves it at completion time), and None otherwise.
         """
-        self.bus.now = now
+        bus = self.bus
+        bus.now = now
         kind = op.type
-        if self.bus.stamps:
-            return self._execute_stamped(core, op, now, kind)
-        if kind is OpType.READ:
-            return self._read(core, op, now)
-        if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
-            return self._amo(core, op, now)
-        if kind is OpType.WRITE:
-            return self._write(core, op, now)
         if kind is OpType.THINK:
             return now + op.cycles, None
         if kind is OpType.MARK:
             # Sync phase marker: zero cycles, zero instructions, no
             # machine state — architecturally invisible without stamps.
+            if bus.stamps:
+                bus.emit(Event(EventKind.SYNC, now, core, op.addr >> 6,
+                               info={"what": MARK_NAMES[op.value],
+                                     "addr": op.addr}))
             return now, None
-        raise ValueError(f"unknown operation type: {kind!r}")
+        if bus.stamps:
+            return self._execute_stamped(core, op, now)
+        return self._handler(kind)(core, op, now)
 
-    def _execute_stamped(self, core: int, op: MemOp, now: int,
-                         kind: OpType) -> Tuple[int, Optional[int]]:
-        """Stamped dispatch: same timing, plus OP_RETIRE/SYNC events."""
+    def _handler(self, kind: OpType):
+        """The transaction handler of a memory-op class."""
         if kind is OpType.READ:
-            return self._read_stamped(core, op, now)
+            return self._read
         if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
-            return self._amo_stamped(core, op, now)
+            return self._amo
         if kind is OpType.WRITE:
-            return self._write_stamped(core, op, now)
-        if kind is OpType.THINK:
-            return now + op.cycles, None
-        if kind is OpType.MARK:
-            self.bus.emit(Event(EventKind.SYNC, now, core, op.addr >> 6,
-                                info={"what": MARK_NAMES[op.value],
-                                      "addr": op.addr}))
-            return now, None
+            return self._write
         raise ValueError(f"unknown operation type: {kind!r}")
 
-    # ------------------------------------------------------------------
-    # stamped execution (attribution): timing-identical wrappers that
-    # collect the per-category cycle breakdown the transaction helpers
-    # record into ``self._bd`` and emit one OP_RETIRE event per op.
-    # The ``bd`` dict decomposes the *core-gating* latency (what the
-    # issuing core waited); store-class ops additionally carry the
-    # breakdown of their hidden drain/execution chain so home-node and
-    # NoC work stays attributable even when the store buffer absorbs it.
-    # ------------------------------------------------------------------
+    def _execute_stamped(self, core: int, op: MemOp,
+                         now: int) -> Tuple[int, Optional[int]]:
+        """Stamped execution (attribution): the same handler, so the
+        same timing, plus one OP_RETIRE event per op.
 
-    def _read_stamped(self, core: int, op: MemOp,
-                      now: int) -> Tuple[int, Optional[int]]:
+        The handler records the per-category cycle breakdown into
+        ``self._bd``.  ``bd`` decomposes the *core-gating* latency (what
+        the issuing core waited); store-class ops additionally carry the
+        breakdown of their hidden drain/execution chain so home-node and
+        NoC work stays attributable even when the store buffer absorbs
+        it.
+        """
+        kind = op.type
+        handler = self._handler(kind)
         bd = self._bd = {}
-        done, result = self._read(core, op, now)
+        done, result = handler(core, op, now)
         self._bd = None
         lat = done - now
-        if not bd:
-            # L1/L2 hit fast paths record nothing; classify by latency.
-            bd["l1" if lat == self._l1_lat else "l2"] = lat
-        else:
-            resid = lat - sum(bd.values())
-            if resid:
-                bd["other"] = resid
-        self.bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
-                            info={"op": "READ", "lat": lat, "bd": bd}))
-        return done, result
-
-    def _write_stamped(self, core: int, op: MemOp,
-                       now: int) -> Tuple[int, Optional[int]]:
-        bd = self._bd = {}
-        done, result = self._write(core, op, now)
-        self._bd = None
-        lat = done - now
-        gate: Dict[str, int] = {"issue": 1}
-        stall = bd.pop("sb_stall", 0)
-        if stall:
-            gate["sb_stall"] = stall
-        resid = lat - 1 - stall
-        if resid:
-            gate["other"] = resid
-        info: Dict[str, object] = {"op": "WRITE", "lat": lat, "bd": gate}
-        if bd:
-            info["drain_bd"] = bd
-        self.bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
-                            info=info))
-        return done, result
-
-    def _amo_stamped(self, core: int, op: MemOp,
-                     now: int) -> Tuple[int, Optional[int]]:
-        bd = self._bd = {}
-        done, result = self._amo(core, op, now)
-        self._bd = None
-        lat = done - now
-        info: Dict[str, object] = {"op": op.type.name, "amo": op.amo.name,
-                                   "lat": lat}
-        if op.type is OpType.AMO_LOAD:
-            resid = lat - sum(bd.values())
-            if resid:
-                bd["other"] = resid
+        info: Dict[str, object] = {"op": kind.name}
+        if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
+            info["amo"] = op.amo.name
+        info["lat"] = lat
+        if kind is OpType.READ or kind is OpType.AMO_LOAD:
+            if kind is OpType.READ and not bd:
+                # L1/L2 hit fast paths record nothing; classify by latency.
+                bd["l1" if lat == self._l1_lat else "l2"] = lat
+            else:
+                resid = lat - sum(bd.values())
+                if resid:
+                    bd["other"] = resid
             info["bd"] = bd
         else:
-            # The core only waited for store-buffer admission; the AMO's
-            # execution chain is hidden work (paper Section III-B1).
+            # The core only waited for store-buffer admission; the drain
+            # (WRITE) or the AMO's execution chain (AMO_STORE) is hidden
+            # work (paper Section III-B1).
             gate: Dict[str, int] = {"issue": 1}
             stall = bd.pop("sb_stall", 0)
             if stall:
@@ -296,7 +256,10 @@ class Machine:
             if resid:
                 gate["other"] = resid
             info["bd"] = gate
-            info["exec_bd"] = bd
+            if kind is OpType.AMO_STORE:
+                info["exec_bd"] = bd
+            elif bd:
+                info["drain_bd"] = bd
         self.bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
                             info=info))
         return done, result
@@ -437,7 +400,6 @@ class Machine:
         Returns the core-visible completion time.
         """
         stats = self.stats
-        record = self._record
         stats.read_shared += 1
         slice_id = block % self._nslices
         hn = self.home_nodes[slice_id]
@@ -450,15 +412,14 @@ class Machine:
             ordered = entry.line_busy_until
         if hn.busy_until > ordered:
             ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_READ_REQ] += 1
-            tm.flits += _F_READ_REQ
-            tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        else:
-            record(MsgType.READ_REQ, self._c2s_hops[core][slice_id],
-                   enqueue=arrive, dequeue=ordered)
+        tm = self.traffic
+        active = self.bus.active
+        self._tmsgs[_READ_REQ] += 1
+        tm.flits += _F_READ_REQ
+        tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
+        if active:
+            self._message(_READ_REQ, self._c2s_hops[core][slice_id],
+                          arrive, ordered)
         bd = self._bd
         if bd is not None:
             self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
@@ -483,9 +444,9 @@ class Machine:
                 entry.drop(owner)
                 data_ready = t_dir + self._llc_lat
                 data_from_owner = False
-                hops = self._s2c_hops[slice_id][owner]
-                record(MsgType.SNOOP, hops)
-                record(MsgType.SNOOP_RESP, hops)
+                # A void snoop: its messages, but no SNOOP event.
+                self._record_snoop_traffic(slice_id, owner, with_data=False,
+                                           snoop_event=False)
             elif owner_line.state.is_dirty:
                 self._record_snoop_traffic(slice_id, owner, with_data=True,
                                            block=block)
@@ -532,12 +493,11 @@ class Machine:
             # once the snoop acknowledgement returns.
             entry.line_busy_until = t_dir + self._snoop_rtt(
                 slice_id, owner if owner is not None else core)
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._c2c_hops[owner][core]
-            else:
-                record(MsgType.COMP_DATA, self._c2c_hops[owner][core])
+            self._tmsgs[_COMP_DATA] += 1
+            tm.flits += _F_COMP_DATA
+            tm.flit_hops += _F_COMP_DATA * self._c2c_hops[owner][core]
+            if active:
+                self._message(_COMP_DATA, self._c2c_hops[owner][core])
             done = data_ready + self._c2c_lat[owner][core] + self._l1_lat
             if bd is not None:
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
@@ -545,12 +505,11 @@ class Machine:
                 bd["l1"] = bd.get("l1", 0) + self._l1_lat
         else:
             entry.line_busy_until = data_ready
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            else:
-                record(MsgType.COMP_DATA, self._s2c_hops[slice_id][core])
+            self._tmsgs[_COMP_DATA] += 1
+            tm.flits += _F_COMP_DATA
+            tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
+            if active:
+                self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
             done = data_ready + self._s2c_lat[slice_id][core] + self._l1_lat
             if bd is not None:
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
@@ -570,7 +529,7 @@ class Machine:
             sharers.discard(core)
             hn.llc_drop(block)
             hn.amo_buffer.invalidate(block)
-            if self.bus.active:
+            if active:
                 self._emit_handoff(block, owner, core)
         insert = self.privates[core].insert_l1(block, grant)
         self._handle_departures(core, insert.departures, now)
@@ -632,15 +591,14 @@ class Machine:
             ordered = entry.line_busy_until
         if hn.busy_until > ordered:
             ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_READ_REQ] += 1
-            tm.flits += _F_READ_REQ
-            tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        else:
-            self._record(MsgType.READ_REQ, self._c2s_hops[core][slice_id],
-                         enqueue=arrive, dequeue=ordered)
+        tm = self.traffic
+        active = self.bus.active
+        self._tmsgs[_READ_REQ] += 1
+        tm.flits += _F_READ_REQ
+        tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
+        if active:
+            self._message(_READ_REQ, self._c2s_hops[core][slice_id],
+                          arrive, ordered)
         bd = self._bd
         if bd is not None:
             self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
@@ -653,19 +611,18 @@ class Machine:
         acks_done = self._invalidate_holders(slice_id, block, entry,
                                              exclude=core, now=now,
                                              t_dir=t_dir, ack_to=core)
-        if self.bus.active:
+        if active:
             self._emit_handoff(block, prev_owner, core)
         entry.owner = core
         entry.sharers.clear()
         entry.line_busy_until = acks_done
         hn.llc_drop(block)
         hn.amo_buffer.invalidate(block)
-        if quiet:
-            self._tmsgs[_COMP_ACK] += 1
-            tm.flits += _F_COMP_ACK
-            tm.flit_hops += _F_COMP_ACK * self._s2c_hops[slice_id][core]
-        else:
-            self._record(MsgType.COMP_ACK, self._s2c_hops[slice_id][core])
+        self._tmsgs[_COMP_ACK] += 1
+        tm.flits += _F_COMP_ACK
+        tm.flit_hops += _F_COMP_ACK * self._s2c_hops[slice_id][core]
+        if active:
+            self._message(_COMP_ACK, self._s2c_hops[slice_id][core])
         if self._direct_acks:
             comp_at_core = t_dir + self._s2c_lat[slice_id][core]
             if bd is not None:
@@ -688,7 +645,6 @@ class Machine:
         Returns the time the block (and permission) is usable at the L1D.
         """
         stats = self.stats
-        record = self._record
         stats.read_unique += 1
         slice_id = block % self._nslices
         hn = self.home_nodes[slice_id]
@@ -701,15 +657,14 @@ class Machine:
             ordered = entry.line_busy_until
         if hn.busy_until > ordered:
             ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_READ_REQ] += 1
-            tm.flits += _F_READ_REQ
-            tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        else:
-            record(MsgType.READ_REQ, self._c2s_hops[core][slice_id],
-                   enqueue=arrive, dequeue=ordered)
+        tm = self.traffic
+        active = self.bus.active
+        self._tmsgs[_READ_REQ] += 1
+        tm.flits += _F_READ_REQ
+        tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
+        if active:
+            self._message(_READ_REQ, self._c2s_hops[core][slice_id],
+                          arrive, ordered)
         bd = self._bd
         if bd is not None:
             self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
@@ -744,12 +699,11 @@ class Machine:
                 bd["llc"] = bd.get("llc", 0) + self._llc_lat
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            else:
-                record(MsgType.COMP_DATA, self._s2c_hops[slice_id][core])
+            self._tmsgs[_COMP_DATA] += 1
+            tm.flits += _F_COMP_DATA
+            tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
+            if active:
+                self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
         else:
             dram_done = self._dram_read(block, t_dir)
             data_at_core = dram_done + self._s2c_lat[slice_id][core]
@@ -757,14 +711,13 @@ class Machine:
                 bd["dram"] = bd.get("dram", 0) + (dram_done - t_dir)
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            else:
-                record(MsgType.COMP_DATA, self._s2c_hops[slice_id][core])
+            self._tmsgs[_COMP_DATA] += 1
+            tm.flits += _F_COMP_DATA
+            tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
+            if active:
+                self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
 
-        if self.bus.active:
+        if active:
             self._emit_handoff(block, owner, core)
         entry.owner = core
         entry.sharers.clear()
@@ -924,7 +877,6 @@ class Machine:
                  now: int) -> Tuple[int, Optional[int]]:
         """Execute the AMO at the home node (Fig. 2 right)."""
         stats = self.stats
-        record = self._record
         slice_id = block % self._nslices
         hn = self.home_nodes[slice_id]
         entry = self._dir_entries.get(block)
@@ -936,15 +888,14 @@ class Machine:
             ordered = entry.line_busy_until
         if hn.busy_until > ordered:
             ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_ATOMIC_REQ] += 1
-            tm.flits += _F_ATOMIC_REQ
-            tm.flit_hops += _F_ATOMIC_REQ * self._c2s_hops[core][slice_id]
-        else:
-            record(MsgType.ATOMIC_REQ, self._c2s_hops[core][slice_id],
-                   enqueue=arrive, dequeue=ordered)
+        tm = self.traffic
+        active = self.bus.active
+        self._tmsgs[_ATOMIC_REQ] += 1
+        tm.flits += _F_ATOMIC_REQ
+        tm.flit_hops += _F_ATOMIC_REQ * self._c2s_hops[core][slice_id]
+        if active:
+            self._message(_ATOMIC_REQ, self._c2s_hops[core][slice_id],
+                          arrive, ordered)
         bd = self._bd
         if bd is not None:
             self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
@@ -964,7 +915,7 @@ class Machine:
         snoop_done = self._invalidate_holders(slice_id, block, entry,
                                               exclude=None, now=now,
                                               t_dir=t_dir)
-        if self.bus.active:
+        if active:
             # Ownership centralizes at the home node (agent -1).
             self._emit_handoff(block, prev_owner, None)
         buffer_hit = hn.amo_buffer.access(block)
@@ -1014,12 +965,11 @@ class Machine:
         resp_hops = self._s2c_hops[slice_id][core]
         if op.type is OpType.AMO_LOAD:
             stats.far_amo_loads += 1
-            if quiet:
-                self._tmsgs[_AMO_DATA] += 1
-                tm.flits += _F_AMO_DATA
-                tm.flit_hops += _F_AMO_DATA * resp_hops
-            else:
-                record(MsgType.AMO_DATA, resp_hops)
+            self._tmsgs[_AMO_DATA] += 1
+            tm.flits += _F_AMO_DATA
+            tm.flit_hops += _F_AMO_DATA * resp_hops
+            if active:
+                self._message(_AMO_DATA, resp_hops)
             done = exec_done + self._s2c_lat[slice_id][core]
             stats.amo_latency_sum += done - now
             if bd is not None:
@@ -1028,12 +978,11 @@ class Machine:
                 bd["commit"] = bd.get("commit", 0) + self._commit_stall
             return done + self._commit_stall, old
         stats.far_amo_stores += 1
-        if quiet:
-            self._tmsgs[_COMP_ACK] += 1
-            tm.flits += _F_COMP_ACK
-            tm.flit_hops += _F_COMP_ACK * resp_hops
-        else:
-            record(MsgType.COMP_ACK, resp_hops)
+        self._tmsgs[_COMP_ACK] += 1
+        tm.flits += _F_COMP_ACK
+        tm.flit_hops += _F_COMP_ACK * resp_hops
+        if active:
+            self._message(_COMP_ACK, resp_hops)
         ack = snoop_done + self._s2c_lat[slice_id][core]
         stats.amo_latency_sum += ack - now
         if bd is not None:
@@ -1050,30 +999,30 @@ class Machine:
         return 2 * self._s2c_lat[slice_id][target] + self._l1_lat
 
     def _record_snoop_traffic(self, slice_id: int, target: int,
-                              with_data: bool, block: int = -1) -> None:
+                              with_data: bool, block: int = -1,
+                              snoop_event: bool = True) -> None:
         hops = self._s2c_hops[slice_id][target]
-        tm = self._tmeter
+        tm = self.traffic
+        # Batched snoop + response accounting (flit sums commute, so
+        # combining the two messages is bit-identical).
+        msgs = self._tmsgs
+        msgs[_SNOOP] += 1
+        if with_data:
+            msgs[_SNOOP_DATA] += 1
+            flits = _F_SNOOP + _F_SNOOP_DATA
+        else:
+            msgs[_SNOOP_RESP] += 1
+            flits = _F_SNOOP + _F_SNOOP_RESP
+        tm.flits += flits
+        tm.flit_hops += flits * hops
         bus = self.bus
-        if tm is not None and not bus.active:
-            # Batched snoop + response accounting (flit sums commute, so
-            # combining the two messages is bit-identical).
-            msgs = self._tmsgs
-            msgs[_SNOOP] += 1
-            if with_data:
-                msgs[_SNOOP_DATA] += 1
-                flits = _F_SNOOP + _F_SNOOP_DATA
-            else:
-                msgs[_SNOOP_RESP] += 1
-                flits = _F_SNOOP + _F_SNOOP_RESP
-            tm.flits += flits
-            tm.flit_hops += flits * hops
-            return
-        record = self._record
-        record(MsgType.SNOOP, hops)
-        record(MsgType.SNOOP_DATA if with_data else MsgType.SNOOP_RESP, hops)
         if bus.active:
-            bus.emit(Event(EventKind.SNOOP, bus.now, target, block,
-                           info={"slice": slice_id, "with_data": with_data}))
+            self._message(_SNOOP, hops)
+            self._message(_SNOOP_DATA if with_data else _SNOOP_RESP, hops)
+            if snoop_event:
+                bus.emit(Event(EventKind.SNOOP, bus.now, target, block,
+                               info={"slice": slice_id,
+                                     "with_data": with_data}))
 
     def _holder_is_dirty(self, core: int, block: int) -> bool:
         # Inlined PrivateCacheHierarchy.find (L1 then L2) — called in a
@@ -1175,25 +1124,22 @@ class Machine:
         slice_id = block % self._nslices
         hn = self.home_nodes[slice_id]
         hops = self._c2s_hops[core][slice_id]
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
+        tm = self.traffic
         if line.state is CacheState.SC:
             # LLC already has a copy from the shared grant; just tell the
             # directory.
-            if quiet:
-                self._tmsgs[_EVICT_NOTIFY] += 1
-                tm.flits += _F_EVICT_NOTIFY
-                tm.flit_hops += _F_EVICT_NOTIFY * hops
-            else:
-                self._record(MsgType.EVICT_NOTIFY, hops)
+            self._tmsgs[_EVICT_NOTIFY] += 1
+            tm.flits += _F_EVICT_NOTIFY
+            tm.flit_hops += _F_EVICT_NOTIFY * hops
+            if self.bus.active:
+                self._message(_EVICT_NOTIFY, hops)
             return
         # UC/UD/SD carry data back; the exclusive LLC allocates it.
-        if quiet:
-            self._tmsgs[_WRITEBACK] += 1
-            tm.flits += _F_WRITEBACK
-            tm.flit_hops += _F_WRITEBACK * hops
-        else:
-            self._record(MsgType.WRITEBACK, hops)
+        self._tmsgs[_WRITEBACK] += 1
+        tm.flits += _F_WRITEBACK
+        tm.flit_hops += _F_WRITEBACK * hops
+        if self.bus.active:
+            self._message(_WRITEBACK, hops)
         self._llc_fill(hn, block)
 
     def _llc_fill(self, hn: HomeNode, block: int) -> None:
@@ -1203,37 +1149,48 @@ class Machine:
             chan = self.addr_map.channel_of_block(victim.block)
             self.memory.access(chan, 0)
             self.stats.dram_writes += 1
-            tm = self._tmeter
-            if tm is not None and not self.bus.active:
-                self._tmsgs[_MEM_WRITE] += 1
-                tm.flits += _F_MEM_WRITE
-                tm.flit_hops += _F_MEM_WRITE
-            else:
-                self._record(MsgType.MEM_WRITE, 1)
-            if self.bus.active:
-                self.bus.emit(Event(EventKind.DRAM_WRITE, self.bus.now,
-                                    block=victim.block,
-                                    info={"channel": chan}))
+            tm = self.traffic
+            self._tmsgs[_MEM_WRITE] += 1
+            tm.flits += _F_MEM_WRITE
+            tm.flit_hops += _F_MEM_WRITE
+            bus = self.bus
+            if bus.active:
+                self._message(_MEM_WRITE, 1)
+                bus.emit(Event(EventKind.DRAM_WRITE, bus.now,
+                               block=victim.block, info={"channel": chan}))
 
     def _dram_read(self, block: int, issue_time: int) -> int:
         chan = self.addr_map.channel_of_block(block)
         done = self.memory.access(chan, issue_time)
         self.stats.dram_reads += 1
-        tm = self._tmeter
-        if tm is not None and not self.bus.active:
-            msgs = self._tmsgs
-            msgs[_MEM_READ] += 1
-            msgs[_MEM_DATA] += 1
-            flits = _F_MEM_READ + _F_MEM_DATA
-            tm.flits += flits
-            tm.flit_hops += flits
-        else:
-            self._record(MsgType.MEM_READ, 1)
-            self._record(MsgType.MEM_DATA, 1)
-            if self.bus.active:
-                self.bus.emit(Event(EventKind.DRAM_READ, issue_time,
-                                    block=block, info={"channel": chan}))
+        tm = self.traffic
+        msgs = self._tmsgs
+        msgs[_MEM_READ] += 1
+        msgs[_MEM_DATA] += 1
+        flits = _F_MEM_READ + _F_MEM_DATA
+        tm.flits += flits
+        tm.flit_hops += flits
+        if self.bus.active:
+            self._message(_MEM_READ, 1)
+            self._message(_MEM_DATA, 1)
+            self.bus.emit(Event(EventKind.DRAM_READ, issue_time,
+                                block=block, info={"channel": chan}))
         return done
+
+    def _message(self, msg: MsgType, hops: int,
+                 enqueue: Optional[int] = None,
+                 dequeue: Optional[int] = None) -> None:
+        """Emit the MESSAGE event of one message the caller has already
+        counted (active bus only).  Requests that serialize at a home
+        node pass ``enqueue``/``dequeue`` (arrival at the ordering point,
+        start of service): sinks histogram the difference as queueing."""
+        info: Dict[str, object] = {"msg": msg.name, "hops": hops,
+                                   "count": 1}
+        if enqueue is not None:
+            info["enqueue"] = enqueue
+            info["dequeue"] = dequeue
+        bus = self.bus
+        bus.emit(Event(EventKind.MESSAGE, bus.now, info=info))
 
     # --- event emission helpers (only called when the bus is active) --
 

@@ -15,6 +15,7 @@ from repro.analysis.modelcheck import (DEFAULT_SCOPES, SMOKE_SCOPES,
                                        check_cell, check_grid,
                                        replay_trace, scope_by_name)
 from repro.analysis.modelcheck.report import render_json, render_text
+from repro.analysis.modelcheck.sanitize import sanitize_cell
 from repro.analysis.modelcheck.scope import Scope, ScriptOp
 from repro.cli import main
 from repro.coherence.directory import DirEntry
@@ -23,6 +24,7 @@ from repro.core.dynamo_metric import DynamoMetricPolicy
 from repro.core.dynamo_reuse import DynamoReusePolicy
 from repro.core.registry import POLICIES
 from repro.frontend.program import GeneratorProgram
+from repro.harness.executor import make_spec
 from repro.obs.attribution.schema import validate
 from repro.sim import engine
 from repro.sim.events import EventBus
@@ -312,6 +314,18 @@ def test_sanitizer_clean_on_real_engine_run():
     machine = Machine(scope.build_config(), "dynamo-reuse-pn", bus=bus)
     engine.run(machine, _two_core_programs(scope))
     assert sink.checks > 0
+
+
+def test_sanitize_cell_reports_clean_and_failing_cells():
+    """The corpus sweep's worker returns totals, or the error message
+    instead of raising, so a pool can name the failing cell."""
+    spec = make_spec("HIST", "all-near", threads=4, scale=0.1)
+    error, checks, sweeps = sanitize_cell(spec)
+    assert error is None and checks > 0 and sweeps >= 0
+    with mock.patch.object(SanitizerSink, "on_event",
+                           side_effect=SanitizerError("seeded")):
+        error, _checks, _sweeps = sanitize_cell(spec)
+    assert error == "seeded"
 
 
 def test_sanitizer_off_keeps_bus_inactive():

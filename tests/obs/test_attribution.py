@@ -23,6 +23,9 @@ import pytest
 from repro.frontend import isa
 from repro.frontend.program import GeneratorProgram
 from repro.harness.executor import execute_spec, make_spec
+from repro.harness.golden import (GOLDEN_POLICIES, GOLDEN_SCALE,
+                                  GOLDEN_SEED, GOLDEN_THREADS,
+                                  TraceDigestSink)
 from repro.obs.attribution import (AuditSink, BlameSink,
                                    extract_critical_path)
 from repro.obs.attribution.report import (diff_payload, diff_specs,
@@ -119,6 +122,49 @@ class TestTimingNeutrality:
         assert result.amos_committed == cell["amos"]
         assert result.stats.near_amos == cell["near_amos"]
         assert result.stats.far_amos == cell["far_amos"]
+
+
+# --- the stamped event stream, byte for byte --------------------------
+
+
+class _StampedDigestSink(TraceDigestSink):
+    """Hashes the bytes ``TraceSink(stamps=True)`` would write."""
+
+    wants_stamps = True
+
+
+class TestStampedStreamPin:
+    """The golden corpus pins only the plain stream; this pins the
+    stamped one (OP_RETIRE breakdowns, SYNC markers, AMT audit fields)
+    on one cheap golden cell per golden policy.  Between them the cells
+    retire all four op classes, near and far AMOs, store-buffer stalls
+    and sync markers."""
+
+    #: (workload, policy) -> (stamped events, sha256 of the JSONL bytes)
+    PINS = {
+        ("KVS", "all-near"): (
+            10484,
+            "634afd9df6ccd74755f29abc5e24bb00c104fd18c18f0574ea9c61c33554126b"),
+        ("AMOCOST", "present-near"): (
+            5522,
+            "bf55691bc3a0685692a4e682f6e3b0b2ce43fe30d513499eb3779a456d6e8b08"),
+        ("BOOK", "dynamo-reuse-pn"): (
+            5834,
+            "cead41f5d35173eed570afabf22ed3436da1a21fc64ee44e6534d0391c7cb604"),
+    }
+
+    def test_pins_cover_every_golden_policy(self):
+        assert sorted(pol for _wl, pol in self.PINS) == \
+            sorted(GOLDEN_POLICIES)
+
+    @pytest.mark.parametrize("workload,policy", sorted(PINS))
+    def test_stamped_stream_is_unchanged(self, workload, policy):
+        spec = make_spec(workload, policy, threads=GOLDEN_THREADS,
+                         scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+        sink = _StampedDigestSink()
+        execute_spec(spec, extra_sinks=(sink,))
+        assert (sink.events, sink.hexdigest()) == \
+            self.PINS[(workload, policy)]
 
 
 # --- exact decomposition ----------------------------------------------

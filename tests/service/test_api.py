@@ -7,7 +7,9 @@ deterministic stub compute from ``conftest``.
 import json
 import os
 
+from repro.harness.executor import make_spec
 from repro.obs.attribution.schema import validate
+from repro.service.scheduler import DONE, Cell, Job
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "schemas", "serve.schema.json")
@@ -185,6 +187,19 @@ def test_event_stream_reports_every_cell_then_a_summary(service):
         "the progress stream is lean"
     assert summary["done"] is True
     assert summary["counts"]["done"] == 2
+
+
+def test_event_stream_yields_cells_settling_out_of_index_order():
+    """A later cell that settles first must not hide an earlier one."""
+    cells = [Cell(i, make_spec("HIST", "all-near", threads=2, scale=0.1))
+             for i in range(3)]
+    job = Job("j", cells)
+    stream = job.iter_completions(timeout=5)
+    for index in (2, 0, 1):
+        cells[index].status = DONE
+        job._cell_finished()
+        assert next(stream).index == index
+    assert list(stream) == []
 
 
 # --- stats ------------------------------------------------------------

@@ -15,6 +15,8 @@ import pytest
 from repro.analysis.modelcheck.sanitize import SanitizerSink
 from repro.frontend import isa
 from repro.frontend.program import GeneratorProgram
+from repro.harness.golden import GOLDEN_POLICIES
+from repro.noc.message import MsgType
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import run
 from repro.sim.events import (CollectorSink, EventBus, EventKind,
@@ -120,20 +122,57 @@ def test_amo_events_reconcile_with_stats():
 
 
 def test_message_events_reconcile_with_traffic_meter():
-    collector = CollectorSink()
-    _, result = run_with_sinks("unique-near", sinks=[collector])
-    messages = collector.by_kind(EventKind.MESSAGE)
-    assert sum(ev.info["count"] for ev in messages) == \
-        result.traffic.total_messages()
-    by_type = {}
-    for ev in messages:
-        by_type[ev.info["msg"]] = by_type.get(ev.info["msg"], 0) \
-            + ev.info["count"]
-    assert by_type == result.traffic.by_type()
+    """Counts, flits and flit-hops of the MESSAGE stream all equal the
+    meter's: a site that counts one hop value and emits another fails."""
+    for policy in ("unique-near",) + GOLDEN_POLICIES:
+        collector = CollectorSink()
+        _, result = run_with_sinks(policy, sinks=[collector])
+        messages = collector.by_kind(EventKind.MESSAGE)
+        traffic = result.traffic
+        assert sum(ev.info["count"] for ev in messages) == \
+            traffic.total_messages(), policy
+        by_type = {}
+        flits = flit_hops = 0
+        for ev in messages:
+            info = ev.info
+            by_type[info["msg"]] = by_type.get(info["msg"], 0) \
+                + info["count"]
+            msg_flits = MsgType[info["msg"]].flits * info["count"]
+            flits += msg_flits
+            flit_hops += msg_flits * info["hops"]
+        assert by_type == traffic.by_type(), policy
+        assert flits == traffic.flits, policy
+        assert flit_hops == traffic.flit_hops, policy
+
+
+def test_void_snoop_emits_messages_but_no_snoop_event():
+    """A directory owner that no longer holds the line is snooped for
+    nothing: the SNOOP/SNOOP_RESP messages are counted and emitted, but
+    no SNOOP event is, and an unobserved run counts the same traffic."""
+    block = 0x9000 >> 6
+    traffic = []
+    for sinks in ((), (CollectorSink(),)):
+        bus = EventBus()
+        for sink in sinks:
+            bus.subscribe(sink)
+        machine = Machine(TINY_CONFIG, "all-near", bus=bus)
+        machine.directory.entry(block).owner = 1  # core 1 holds nothing
+        machine.execute(0, isa.read(0x9000), 0)
+        traffic.append((machine.traffic.by_type(), machine.traffic.flits,
+                        machine.traffic.flit_hops))
+    collector = sinks[0]
+    assert not collector.by_kind(EventKind.SNOOP)
+    hops = machine.mesh.s2c_hops[block % TINY_CONFIG.llc_slices][1]
+    snoop_msgs = [(ev.info["msg"], ev.info["hops"])
+                  for ev in collector.by_kind(EventKind.MESSAGE)
+                  if ev.info["msg"].startswith("SNOOP")]
+    assert snoop_msgs == [("SNOOP", hops), ("SNOOP_RESP", hops)]
+    assert traffic[0] == traffic[1]
+    assert traffic[0][0]["SNOOP"] == traffic[0][0]["SNOOP_RESP"] == 1
 
 
 def test_component_emitters_present():
-    """Cache, directory and mesh events all appear on a contended run."""
+    """Cache, directory and message events all appear on a contended run."""
     collector = CollectorSink()
     _, result = run_with_sinks("unique-near", sinks=[collector])
     kinds = {ev.kind for ev in collector.events}

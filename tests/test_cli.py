@@ -44,6 +44,18 @@ def test_run_with_policy_and_input(capsys, tmp_path, monkeypatch):
     assert "policy=unique-near" in capsys.readouterr().out
 
 
+def test_run_stamps_without_trace_rejected(capsys, tmp_path, monkeypatch):
+    """--stamps only shapes a trace; alone it must not run a plain cell."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "RAY", "--threads", "4", "--scale", "0.15",
+              "--stamps"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--stamps requires --trace" in captured.err
+    assert "policy=" not in captured.out
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         main(["run", "NOPE"])
