@@ -53,8 +53,7 @@ class SanitizerSink(Sink):
     """
 
     wants_events = True
-
-    _CHECKED = frozenset({
+    kinds = frozenset({
         EventKind.AMO_NEAR, EventKind.AMO_FAR, EventKind.INVALIDATION,
         EventKind.DOWNGRADE,
     })
@@ -69,7 +68,7 @@ class SanitizerSink(Sink):
         self._machine = machine
 
     def on_event(self, event: Event) -> None:
-        if event.kind not in self._CHECKED or self._machine is None:
+        if self._machine is None:
             return
         self.checks += 1
         block = event.block

@@ -120,7 +120,7 @@ class HomeNode:
         else:
             self.llc_misses += 1
         bus = self.bus
-        if bus is not None and bus.active:
+        if bus is not None and bus.wants_llc_access:
             bus.emit(Event(EventKind.LLC_ACCESS, bus.now,
                            block=block,
                            info={"slice": self.slice_id, "hit": hit}))

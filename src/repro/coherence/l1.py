@@ -58,7 +58,7 @@ class PrivateCacheHierarchy:
 
     ``core_id`` and ``bus`` identify the hierarchy on the instrumentation
     bus; departures from the L1D are emitted as L1_EVICTION events when
-    event sinks are attached (the signal the DynAMO reuse predictor and
+    a subscribed sink reads them (the signal the DynAMO reuse predictor and
     the per-block placement analyses consume).
     """
 
@@ -143,7 +143,7 @@ class PrivateCacheHierarchy:
         if l2_victim is not None:
             result.departures.append(Departure(l2_victim, left_hierarchy=True))
         bus = self.bus
-        if bus is not None and bus.active:
+        if bus is not None and bus.wants_l1_eviction:
             for dep in result.departures:
                 bus.emit(Event(
                     EventKind.L1_EVICTION, bus.now, self.core_id,

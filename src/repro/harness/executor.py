@@ -531,12 +531,17 @@ def execute_spec(spec: RunSpec,
     bus.subscribe(EnergySink(num_cores=spec.threads))
     for sink in extra_sinks:
         bus.subscribe(sink)
-    wl = make_workload(spec.workload, spec.threads, scale=spec.scale,
-                       seed=spec.seed, input_name=spec.input_name)
-    machine = Machine(config, spec.policy, bus=bus)
-    for addr, value in wl.initial_values().items():
-        machine.poke_value(addr, value)
-    result = engine_run(machine, wl.programs(), max_cycles=MAX_CYCLES)
+    try:
+        wl = make_workload(spec.workload, spec.threads, scale=spec.scale,
+                           seed=spec.seed, input_name=spec.input_name)
+        machine = Machine(config, spec.policy, bus=bus)
+        for addr, value in wl.initial_values().items():
+            machine.poke_value(addr, value)
+        result = engine_run(machine, wl.programs(), max_cycles=MAX_CYCLES)
+    finally:
+        # A failed run (a SanitizerError, a raising sink) still flushes
+        # and closes every sink's output.
+        bus.close()
     # Merge rather than assign: observability sinks annotate metadata at
     # finalize time (histograms, interval series, contention tables) and
     # those payloads must survive.  Default mode (no extra sinks) starts
@@ -548,7 +553,6 @@ def execute_spec(spec: RunSpec,
         "scale": spec.scale,
         "amo_footprint_bytes": wl.amo_footprint_bytes,
     })
-    bus.close()
     return result
 
 

@@ -2,9 +2,10 @@
 
 Both sinks set ``wants_stamps`` — subscribing either one flips the
 machine onto its instrumented (timing-identical) execution path, so the
-OP_RETIRE / SYNC / audit-annotated AMO events they consume exist at all.
-Both write their findings into ``result.metadata`` at finalize time, so
-downstream code (``repro why``, tests) works from a plain
+OP_RETIRE / SYNC / audit-annotated AMO events they consume exist at all;
+their ``kinds`` keep every other event kind unbuilt.  Both write their
+findings into ``result.metadata`` at finalize time, so downstream code
+(``repro why``, tests) works from a plain
 :class:`~repro.sim.results.SimulationResult`.
 """
 
@@ -36,12 +37,15 @@ class BlameSink(Sink):
     """
 
     wants_stamps = True
+    kinds = frozenset({EventKind.OP_RETIRE, EventKind.SYNC,
+                       EventKind.LINE_HANDOFF})
 
     def __init__(self, top_blocks: int = 16) -> None:
         self.top_blocks = top_blocks
-        self.gate_totals: Dict[str, int] = {}
-        self.hidden_totals: Dict[str, int] = {}
-        self.per_block: Dict[int, Dict[str, int]] = {}
+        #: per-block gate and hidden category cycles; the global totals
+        #: are their sums, taken once when the payload is built.
+        self.block_gate: Dict[int, Dict[str, int]] = {}
+        self.block_hidden: Dict[int, Dict[str, int]] = {}
         self.ops = 0
         #: per-core retired-op records ``(start, gate_lat, gate_bd)``,
         #: appended in execution order (starts are monotonic per core).
@@ -54,24 +58,32 @@ class BlameSink(Sink):
     def on_event(self, event: Event) -> None:
         kind = event.kind
         if kind is EventKind.OP_RETIRE:
-            info = event.info or {}
-            bd: Dict[str, int] = info["bd"]  # type: ignore[assignment]
-            merge_into(self.gate_totals, bd)
+            info = event.info
+            bd: Dict[str, int] = info["bd"]  # type: ignore[index]
             self.ops += 1
-            block_bd = self.per_block.setdefault(event.block, {})
-            merge_into(block_bd, bd)
-            for key in ("exec_bd", "drain_bd"):
-                hidden = info.get(key)
-                if hidden:
-                    merge_into(self.hidden_totals, hidden)
-                    merge_into(block_bd, hidden)
-            self.core_ops.setdefault(event.core, []).append(
-                (event.cycle, info["lat"], bd))  # type: ignore[arg-type]
+            block = event.block
+            totals = self.block_gate.get(block)
+            if totals is None:
+                totals = self.block_gate[block] = {}
+            for cat, cycles in bd.items():
+                totals[cat] = totals.get(cat, 0) + cycles
+            # A WRITE carries its drain, an AMO_STORE its execution chain.
+            hidden = info.get("exec_bd") or info.get("drain_bd")
+            if hidden:
+                totals = self.block_hidden.get(block)
+                if totals is None:
+                    totals = self.block_hidden[block] = {}
+                for cat, cycles in hidden.items():
+                    totals[cat] = totals.get(cat, 0) + cycles
+            ops = self.core_ops.get(event.core)
+            if ops is None:
+                ops = self.core_ops[event.core] = []
+            ops.append((event.cycle, info["lat"], bd))  # type: ignore
         elif kind is EventKind.SYNC:
             info = event.info or {}
             self.core_sync.setdefault(event.core, []).append(
                 (event.cycle, info["what"], info["addr"]))  # type: ignore
-        elif kind is EventKind.LINE_HANDOFF:
+        else:  # LINE_HANDOFF
             block = event.block
             self.handoffs[block] = self.handoffs.get(block, 0) + 1
             cores = self.handoff_cores.setdefault(block, set())
@@ -85,7 +97,17 @@ class BlameSink(Sink):
         """Build the JSON-ready blame payload (no result needed)."""
         path = extract_critical_path(self.core_ops, self.core_sync,
                                      per_core_finish)
-        blocks = sorted(self.per_block.items(),
+        gate_totals: Dict[str, int] = {}
+        hidden_totals: Dict[str, int] = {}
+        per_block: Dict[int, Dict[str, int]] = {}
+        for block, gate in self.block_gate.items():
+            merge_into(gate_totals, gate)
+            per_block[block] = bd = dict(gate)
+            hidden = self.block_hidden.get(block)
+            if hidden:
+                merge_into(hidden_totals, hidden)
+                merge_into(bd, hidden)
+        blocks = sorted(per_block.items(),
                         key=lambda kv: -sum(kv[1].values()))
         top = [{
             "block": f"{block:#x}",
@@ -97,8 +119,8 @@ class BlameSink(Sink):
         return {
             "schema": BLAME_SCHEMA,
             "ops": self.ops,
-            "gate_totals": dict(sorted(self.gate_totals.items())),
-            "hidden_totals": dict(sorted(self.hidden_totals.items())),
+            "gate_totals": dict(sorted(gate_totals.items())),
+            "hidden_totals": dict(sorted(hidden_totals.items())),
             "critical_path": path,
             "top_blocks": top,
             "handoffs_total": sum(self.handoffs.values()),
@@ -136,6 +158,7 @@ class AuditSink(Sink):
     """
 
     wants_stamps = True
+    kinds = frozenset({EventKind.AMO_NEAR, EventKind.AMO_FAR})
 
     def __init__(self) -> None:
         #: decision records: (block, near?, group, realized latency).
@@ -143,9 +166,6 @@ class AuditSink(Sink):
         self.unique_fast = 0
 
     def on_event(self, event: Event) -> None:
-        kind = event.kind
-        if kind is not EventKind.AMO_NEAR and kind is not EventKind.AMO_FAR:
-            return
         info = event.info or {}
         if not info.get("decided"):
             self.unique_fast += 1
@@ -154,7 +174,7 @@ class AuditSink(Sink):
         if isinstance(amt, list):  # trace round-trips turn tuples to lists
             amt = tuple(amt)
         self.decisions.append((
-            event.block, kind is EventKind.AMO_NEAR,
+            event.block, event.kind is EventKind.AMO_NEAR,
             _amt_group(amt), info["latency"]))  # type: ignore[arg-type]
 
     def audit_payload(self) -> Dict[str, object]:

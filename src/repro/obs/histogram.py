@@ -159,6 +159,9 @@ class HistogramSink(Sink):
     leaves simulated timing and every counter bit-identical.
     """
 
+    kinds = frozenset({EventKind.AMO_NEAR, EventKind.AMO_FAR,
+                       EventKind.MESSAGE})
+
     def __init__(self) -> None:
         self.histograms: Dict[str, Log2Histogram] = {
             "amo_near": Log2Histogram(),
@@ -172,7 +175,7 @@ class HistogramSink(Sink):
 
     def on_event(self, event: Event) -> None:
         kind = event.kind
-        if kind is EventKind.AMO_NEAR or kind is EventKind.AMO_FAR:
+        if kind is not EventKind.MESSAGE:  # AMO_NEAR or AMO_FAR
             info = event.info or {}
             latency = info.get("latency")
             if latency is None:
@@ -192,7 +195,7 @@ class HistogramSink(Sink):
                 self.histograms["lock_acquire"].record(acquire_latency)
             else:
                 self._acquiring.setdefault(key, event.cycle)
-        elif kind is EventKind.MESSAGE:
+        else:
             info = event.info or {}
             enqueue = info.get("enqueue")
             if enqueue is not None:

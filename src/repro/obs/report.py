@@ -44,6 +44,9 @@ _HIST_LABELS = [
 class ContentionSink(Sink):
     """Counts coherence churn per cache block (top-contended lines)."""
 
+    kinds = frozenset({EventKind.INVALIDATION, EventKind.AMO_NEAR,
+                       EventKind.AMO_FAR})
+
     def __init__(self) -> None:
         self.invalidations: Counter = Counter()
         self.far_amos: Counter = Counter()
@@ -55,9 +58,7 @@ class ContentionSink(Sink):
             self.invalidations[event.block] += 1
         elif kind is EventKind.AMO_FAR:
             self.far_amos[event.block] += 1
-        if event.core >= 0 and event.block >= 0 and kind in (
-                EventKind.AMO_NEAR, EventKind.AMO_FAR,
-                EventKind.INVALIDATION):
+        if event.core >= 0 and event.block >= 0:
             self.cores_touching.setdefault(event.block, set()).add(event.core)
 
     def top_blocks(self, n: int) -> List[Tuple[int, int, int, int]]:

@@ -19,19 +19,22 @@ Runtime coherence checking lives with the model checker's predicates:
 Fast path: pure counters *are* their own events — a counter increment
 carries no information beyond "this event happened" — so the stock
 stats/traffic sinks are **fused**: the bus hands emitters a direct
-reference to the underlying counter block and meter, and per-event
-dispatch (`Event` construction + fan-out to ``on_event``) only happens
-when a sink that *wants* events is subscribed (``bus.active``).  With
-only the stock sinks attached, default-mode simulation therefore
-executes the exact instruction sequence it did before the bus existed;
-each emission site costs one attribute load and one branch.
+reference to the underlying counter block and meter.  Everything else
+is routed by kind: each sink declares the kinds it reads
+(:attr:`Sink.kinds`), the bus keeps one sink tuple per kind, and every
+emission site tests its kind's gate (``bus.wants_<kind>``, e.g.
+``bus.wants_message``) before it builds the info dict and the
+:class:`Event`.  An event no subscribed sink reads is never built, and
+with only the stock sinks attached each emission site costs one
+attribute test.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from typing import IO, Dict, List, Optional, Union
+from operator import itemgetter
+from typing import IO, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.noc.message import TrafficMeter
 from repro.sim.results import MachineStats
@@ -71,6 +74,24 @@ class EventKind(enum.Enum):
     #: stamp-gated — see :data:`repro.frontend.isa.MARK_NAMES`).
     SYNC = "sync"
 
+    #: A dense int per kind: the bus keeps its routes in a list indexed
+    #: by it, because ``Enum.__hash__`` runs in Python and a dict keyed
+    #: by EventKind would pay for it on every event.  (Annotation only,
+    #: so not a member; set below.)
+    slot: int
+
+
+for _slot, _kind in enumerate(EventKind):
+    _kind.slot = _slot
+del _slot, _kind
+
+#: Kinds only the stamped execution path emits (``bus.stamps``).
+_STAMP_KINDS = frozenset({EventKind.OP_RETIRE, EventKind.SYNC})
+
+#: ``EventBus`` gate attribute of each kind, indexed by ``kind.slot``:
+#: ``wants_amo_near``, ..., ``wants_message``, ..., ``wants_sync``.
+_GATES = tuple("wants_" + kind.name.lower() for kind in EventKind)
+
 
 class Event:
     """One simulation event.
@@ -104,10 +125,80 @@ class Event:
         return f"Event({self.as_dict()!r})"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder
+#: per call (``dumps`` constructs one whenever an option is passed).
+_encode_nested = json.JSONEncoder(sort_keys=True).encode
+
+
+def _encode(value: object) -> str:
+    """A value other than an exact int as ``json.dumps(...,
+    sort_keys=True)`` renders it, tested in the json encoder's order.
+    Exact ints skip this: ``%s`` renders them as json does, and the
+    ``type(value) is int`` test that routes them is False for bools, an
+    int subclass."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _encode_str(value)
+    return _encode_nested(value)
+
+
+#: Per kind slot: info-key tuple -> (template, value picker).
+_SHAPES: List[Dict[Tuple[str, ...], Tuple[str, Callable]]] = [
+    {} for _ in EventKind]
+
+
+def _compile_shape(kind: EventKind,
+                   keys: Tuple[str, ...]) -> Tuple[str, Callable]:
+    """The ``%``-template of one record shape, keys in ``sort_keys``
+    order, and a picker of its values out of ``[cycle, core, block,
+    *info.values()]``.  Info keys override the base fields, as in
+    :meth:`Event.as_dict`."""
+    sources: Dict[str, Optional[int]] = {
+        "kind": None, "cycle": 0, "core": 1, "block": 2}
+    for index, key in enumerate(keys):
+        sources[key] = 3 + index
+    fields = []
+    order = []
+    for key in sorted(sources):
+        source = sources[key]
+        if source is None:
+            value = _encode_str(kind.value).replace("%", "%%")
+        else:
+            value = "%s"
+            order.append(source)
+        fields.append(_encode_str(key).replace("%", "%%") + ": " + value)
+    return "{" + ", ".join(fields) + "}\n", itemgetter(*order)
+
+
 def trace_line(event: Event) -> str:
     """One JSONL trace record, newline included: the bytes ``--trace``
-    files hold and the golden trace digests hash."""
-    return json.dumps(event.as_dict(), sort_keys=True) + "\n"
+    files hold and the golden trace digests hash.
+
+    Byte-identical to ``json.dumps(event.as_dict(), sort_keys=True)``
+    plus a newline (info keys are strings), but rendered from a template
+    cached per ``(kind, info keys)`` shape: only nested values
+    (breakdown dicts, AMT tuples) still go through a JSON encoder.
+    """
+    info = event.info
+    if info:
+        keys = tuple(info)
+        values = [event.cycle, event.core, event.block, *info.values()]
+    else:
+        keys = ()
+        values = [event.cycle, event.core, event.block]
+    shapes = _SHAPES[event.kind.slot]
+    shape = shapes.get(keys)
+    if shape is None:
+        shape = shapes[keys] = _compile_shape(event.kind, keys)
+    template, pick = shape
+    return template % pick([value if type(value) is int else _encode(value)
+                            for value in values])
 
 
 class Sink:
@@ -116,9 +207,13 @@ class Sink:
     ``wants_events`` controls the bus fast path: sinks that only
     aggregate through the fused stores or only act at ``finalize`` time
     set it False so their presence does not force per-event dispatch.
+    ``kinds`` narrows dispatch further to the event kinds the sink
+    reads: the bus routes each event only to the sinks that read its
+    kind, so a sink never filters by kind itself, and an event kind no
+    subscribed sink reads is never built.
     """
 
-    #: True when this sink must receive every Event via :meth:`on_event`.
+    #: True when this sink must receive events via :meth:`on_event`.
     wants_events = True
     #: True when this sink additionally needs the *stamp* events
     #: (OP_RETIRE breakdowns, SYNC markers, per-AMO audit fields).
@@ -128,6 +223,9 @@ class Sink:
     #: ordinary events without forcing stamp emission.  A sink that sets
     #: this is treated as wanting events too.
     wants_stamps = False
+    #: The event kinds :meth:`on_event` reads (a frozenset of
+    #: :class:`EventKind`); None, the default, means every kind.
+    kinds: Optional[FrozenSet[EventKind]] = None
 
     def bind_machine(self, machine) -> None:
         """Run-start hook: the engine announces the machine under test.
@@ -138,7 +236,8 @@ class Sink:
         """
 
     def on_event(self, event: Event) -> None:
-        """Receive one event (only called when ``wants_events``)."""
+        """Receive one event of a kind in ``kinds`` (only called when
+        ``wants_events``)."""
 
     def finalize(self, result) -> None:
         """Run-end hook: annotate the finished ``SimulationResult``."""
@@ -174,13 +273,33 @@ class EventBus:
     """Connects emitters (machine, caches, home nodes) to sinks.
 
     ``active`` is True iff at least one subscribed sink wants per-event
-    dispatch; emitters guard every :meth:`emit` call on it.  ``now`` is
-    the machine's current cycle, maintained so component emitters (which
-    have no clock of their own) can stamp their events.
+    dispatch.  Each kind has a gate, ``wants_<kind>`` (``wants_message``,
+    ``wants_amo_near``, ...): True iff a subscribed sink reads that kind,
+    and emitters guard every :meth:`emit` call, and the building of its
+    event, on it.  The stamp kinds (OP_RETIRE, SYNC) are routed only
+    while ``stamps`` is set.  ``now`` is the machine's current cycle,
+    maintained so component emitters (which have no clock of their own)
+    can stamp their events.
     """
 
     __slots__ = ("stats", "traffic", "now", "active", "stamps", "_sinks",
-                 "_event_sinks", "stats_sink", "traffic_sink")
+                 "_routes", "stats_sink", "traffic_sink") + _GATES
+
+    # The per-kind gates, one per EventKind (names in ``_GATES``).
+    wants_amo_near: bool
+    wants_amo_far: bool
+    wants_snoop: bool
+    wants_invalidation: bool
+    wants_downgrade: bool
+    wants_line_handoff: bool
+    wants_llc_access: bool
+    wants_dram_read: bool
+    wants_dram_write: bool
+    wants_message: bool
+    wants_l1_eviction: bool
+    wants_store_buffer_stall: bool
+    wants_op_retire: bool
+    wants_sync: bool
 
     def __init__(self, stats_sink: Optional[StatsSink] = None,
                  traffic_sink: Optional[TrafficSink] = None) -> None:
@@ -190,13 +309,8 @@ class EventBus:
         self.stats = self.stats_sink.stats
         self.traffic = self.traffic_sink.meter
         self.now = 0
-        self.active = False
-        #: True iff a subscribed sink wants stamp events; the machine and
-        #: engine select the instrumented (timing-identical) paths on it.
-        self.stamps = False
         self._sinks: List[Sink] = [self.stats_sink, self.traffic_sink]
-        #: prebuilt fan-out list so emit() never re-filters per event.
-        self._event_sinks: List[Sink] = []
+        self._refresh()
 
     # --- subscription -------------------------------------------------
 
@@ -211,19 +325,29 @@ class EventBus:
         self._refresh()
 
     def _refresh(self) -> None:
-        self._event_sinks = [s for s in self._sinks
-                             if s.wants_events or s.wants_stamps]
-        self.active = bool(self._event_sinks)
+        readers = [s for s in self._sinks if s.wants_events or s.wants_stamps]
+        self.active = bool(readers)
+        #: True iff a subscribed sink wants stamp events; the machine and
+        #: engine select the instrumented (timing-identical) paths on it.
         self.stamps = any(s.wants_stamps for s in self._sinks)
+        #: per-kind fan-out tuples, indexed by ``kind.slot``.
+        self._routes: List[Tuple[Sink, ...]] = []
+        for kind in EventKind:
+            route: Tuple[Sink, ...] = ()
+            if self.stamps or kind not in _STAMP_KINDS:
+                route = tuple(s for s in readers
+                              if s.kinds is None or kind in s.kinds)
+            self._routes.append(route)
+            setattr(self, _GATES[kind.slot], bool(route))
 
     @property
     def sinks(self) -> List[Sink]:
         return list(self._sinks)
 
-    # --- emission (only called behind an ``if bus.active`` guard) -----
+    # --- emission (only called behind the kind's ``wants_*`` gate) ----
 
     def emit(self, event: Event) -> None:
-        for sink in self._event_sinks:
+        for sink in self._routes[event.kind.slot]:
             sink.on_event(event)
 
     # --- lifecycle ----------------------------------------------------

@@ -43,11 +43,14 @@ from repro.noc.message import MsgType
 from repro.sim.config import SystemConfig
 from repro.sim.events import Event, EventBus, EventKind
 
+# Event payloads name enum members through ``_name_``, the plain attribute
+# behind ``.name`` (whose descriptor runs in Python on every access).
+#
 # Message-class members and their flit sizes, bound as module constants
 # for the inline traffic accounting in the handlers below (the inline
 # form is TrafficMeter.record with count=1).  The Machine is the only
-# message-accounting site: every message is counted inline, and with
-# event sinks attached it is also emitted through Machine._message.
+# message-accounting site: every message is counted inline, and when a
+# sink reads MESSAGE events it is also emitted through Machine._message.
 _READ_REQ, _F_READ_REQ = MsgType.READ_REQ, MsgType.READ_REQ.flits
 _ATOMIC_REQ, _F_ATOMIC_REQ = MsgType.ATOMIC_REQ, MsgType.ATOMIC_REQ.flits
 _COMP_DATA, _F_COMP_DATA = MsgType.COMP_DATA, MsgType.COMP_DATA.flits
@@ -160,8 +163,8 @@ class Machine:
         # Counter — aliased for the inlined lookup and accounting fast
         # paths in the handlers.
         # The inline accounting below is exactly TrafficMeter.record with
-        # count=1, on every path; whenever the bus is active (event sinks
-        # attached) each site then emits its MESSAGE event via _message.
+        # count=1, on every path; whenever a sink reads MESSAGE events
+        # (bus.wants_message) each site then emits its event via _message.
         self._l1sets = [p._l1_sets for p in self.privates]
         self._l2sets = [p._l2_sets for p in self.privates]
         self._l1n = self.privates[0]._l1_nsets if self.privates else 1
@@ -194,7 +197,7 @@ class Machine:
         if kind is OpType.MARK:
             # Sync phase marker: zero cycles, zero instructions, no
             # machine state — architecturally invisible without stamps.
-            if bus.stamps:
+            if bus.wants_sync:
                 bus.emit(Event(EventKind.SYNC, now, core, op.addr >> 6,
                                info={"what": MARK_NAMES[op.value],
                                      "addr": op.addr}))
@@ -223,17 +226,19 @@ class Machine:
         the issuing core waited); store-class ops additionally carry the
         breakdown of their hidden drain/execution chain so home-node and
         NoC work stays attributable even when the store buffer absorbs
-        it.
+        it.  With no sink reading OP_RETIRE it is the plain handler.
         """
         kind = op.type
         handler = self._handler(kind)
+        if not self.bus.wants_op_retire:
+            return handler(core, op, now)
         bd = self._bd = {}
         done, result = handler(core, op, now)
         self._bd = None
         lat = done - now
-        info: Dict[str, object] = {"op": kind.name}
+        info: Dict[str, object] = {"op": kind._name_}
         if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
-            info["amo"] = op.amo.name
+            info["amo"] = op.amo._name_
         info["lat"] = lat
         if kind is OpType.READ or kind is OpType.AMO_LOAD:
             if kind is OpType.READ and not bd:
@@ -348,7 +353,7 @@ class Machine:
         if len(sb) >= self._sb_entries:
             oldest = sb.popleft()
             self.stats.store_buffer_stalls += 1
-            if self.bus.active:
+            if self.bus.wants_store_buffer_stall:
                 self.bus.emit(Event(EventKind.STORE_BUFFER_STALL, now, core,
                                     info={"stalled_until": oldest}))
             visible = oldest + 1
@@ -413,11 +418,11 @@ class Machine:
         if hn.busy_until > ordered:
             ordered = hn.busy_until
         tm = self.traffic
-        active = self.bus.active
+        bus = self.bus
         self._tmsgs[_READ_REQ] += 1
         tm.flits += _F_READ_REQ
         tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        if active:
+        if bus.wants_message:
             self._message(_READ_REQ, self._c2s_hops[core][slice_id],
                           arrive, ordered)
         bd = self._bd
@@ -461,7 +466,8 @@ class Machine:
                     # the (rare) source of the SharedDirty state.
                     owner_priv.set_state(block, CacheState.SD)
                 stats.downgrades += 1
-                self._emit_downgrade(owner, block)
+                if bus.wants_downgrade:
+                    self._emit_downgrade(owner, block)
             else:  # UC owner: forwards clean data, drops to SC.
                 self._record_snoop_traffic(slice_id, owner, with_data=True,
                                            block=block)
@@ -470,7 +476,8 @@ class Machine:
                 entry.sharers.add(owner)
                 self._llc_fill(hn, block)
                 stats.downgrades += 1
-                self._emit_downgrade(owner, block)
+                if bus.wants_downgrade:
+                    self._emit_downgrade(owner, block)
         elif hn.llc_lookup(block):
             data_ready = t_dir + self._llc_lat
         else:
@@ -496,7 +503,7 @@ class Machine:
             self._tmsgs[_COMP_DATA] += 1
             tm.flits += _F_COMP_DATA
             tm.flit_hops += _F_COMP_DATA * self._c2c_hops[owner][core]
-            if active:
+            if bus.wants_message:
                 self._message(_COMP_DATA, self._c2c_hops[owner][core])
             done = data_ready + self._c2c_lat[owner][core] + self._l1_lat
             if bd is not None:
@@ -508,7 +515,7 @@ class Machine:
             self._tmsgs[_COMP_DATA] += 1
             tm.flits += _F_COMP_DATA
             tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            if active:
+            if bus.wants_message:
                 self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
             done = data_ready + self._s2c_lat[slice_id][core] + self._l1_lat
             if bd is not None:
@@ -529,7 +536,7 @@ class Machine:
             sharers.discard(core)
             hn.llc_drop(block)
             hn.amo_buffer.invalidate(block)
-            if active:
+            if bus.wants_line_handoff:
                 self._emit_handoff(block, owner, core)
         insert = self.privates[core].insert_l1(block, grant)
         self._handle_departures(core, insert.departures, now)
@@ -592,11 +599,11 @@ class Machine:
         if hn.busy_until > ordered:
             ordered = hn.busy_until
         tm = self.traffic
-        active = self.bus.active
+        bus = self.bus
         self._tmsgs[_READ_REQ] += 1
         tm.flits += _F_READ_REQ
         tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        if active:
+        if bus.wants_message:
             self._message(_READ_REQ, self._c2s_hops[core][slice_id],
                           arrive, ordered)
         bd = self._bd
@@ -611,7 +618,7 @@ class Machine:
         acks_done = self._invalidate_holders(slice_id, block, entry,
                                              exclude=core, now=now,
                                              t_dir=t_dir, ack_to=core)
-        if active:
+        if bus.wants_line_handoff:
             self._emit_handoff(block, prev_owner, core)
         entry.owner = core
         entry.sharers.clear()
@@ -621,7 +628,7 @@ class Machine:
         self._tmsgs[_COMP_ACK] += 1
         tm.flits += _F_COMP_ACK
         tm.flit_hops += _F_COMP_ACK * self._s2c_hops[slice_id][core]
-        if active:
+        if bus.wants_message:
             self._message(_COMP_ACK, self._s2c_hops[slice_id][core])
         if self._direct_acks:
             comp_at_core = t_dir + self._s2c_lat[slice_id][core]
@@ -658,11 +665,11 @@ class Machine:
         if hn.busy_until > ordered:
             ordered = hn.busy_until
         tm = self.traffic
-        active = self.bus.active
+        bus = self.bus
         self._tmsgs[_READ_REQ] += 1
         tm.flits += _F_READ_REQ
         tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        if active:
+        if bus.wants_message:
             self._message(_READ_REQ, self._c2s_hops[core][slice_id],
                           arrive, ordered)
         bd = self._bd
@@ -702,7 +709,7 @@ class Machine:
             self._tmsgs[_COMP_DATA] += 1
             tm.flits += _F_COMP_DATA
             tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            if active:
+            if bus.wants_message:
                 self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
         else:
             dram_done = self._dram_read(block, t_dir)
@@ -714,10 +721,10 @@ class Machine:
             self._tmsgs[_COMP_DATA] += 1
             tm.flits += _F_COMP_DATA
             tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            if active:
+            if bus.wants_message:
                 self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
 
-        if active:
+        if bus.wants_line_handoff:
             self._emit_handoff(block, owner, core)
         entry.owner = core
         entry.sharers.clear()
@@ -772,15 +779,16 @@ class Machine:
         bd = self._bd
         if bd is not None and start > now:
             bd["amo_order"] = start - now
-        if placement is Placement.NEAR:
+        near = placement is Placement.NEAR
+        if near:
             done, value = self._amo_near(core, op, block, state, start)
         else:
             done, value = self._amo_far(core, op, block, start)
         if done > self._amo_free[core]:
             self._amo_free[core] = done
         bus = self.bus
-        if bus.active:
-            info = {"op": op.type.name, "amo": op.amo.name,
+        if bus.wants_amo_near if near else bus.wants_amo_far:
+            info = {"op": op.type._name_, "amo": op.amo._name_,
                     "decided": decided, "latency": done - start}
             if bus.stamps and decided:
                 # Attribution audit: the policy's pre-decide view.  None
@@ -790,10 +798,8 @@ class Machine:
                 # Lock-acquire observability: a CAS succeeded iff the old
                 # value it returned equals the comparand.
                 info["cas_ok"] = value == op.expected
-            bus.emit(Event(
-                EventKind.AMO_NEAR if placement is Placement.NEAR
-                else EventKind.AMO_FAR,
-                start, core, block, info=info))
+            bus.emit(Event(EventKind.AMO_NEAR if near else EventKind.AMO_FAR,
+                           start, core, block, info=info))
         if not is_load:
             # The core itself only waits for store-buffer admission (plus
             # any backlog from the atomic-ordering chain).
@@ -889,11 +895,11 @@ class Machine:
         if hn.busy_until > ordered:
             ordered = hn.busy_until
         tm = self.traffic
-        active = self.bus.active
+        bus = self.bus
         self._tmsgs[_ATOMIC_REQ] += 1
         tm.flits += _F_ATOMIC_REQ
         tm.flit_hops += _F_ATOMIC_REQ * self._c2s_hops[core][slice_id]
-        if active:
+        if bus.wants_message:
             self._message(_ATOMIC_REQ, self._c2s_hops[core][slice_id],
                           arrive, ordered)
         bd = self._bd
@@ -915,7 +921,7 @@ class Machine:
         snoop_done = self._invalidate_holders(slice_id, block, entry,
                                               exclude=None, now=now,
                                               t_dir=t_dir)
-        if active:
+        if bus.wants_line_handoff:
             # Ownership centralizes at the home node (agent -1).
             self._emit_handoff(block, prev_owner, None)
         buffer_hit = hn.amo_buffer.access(block)
@@ -968,7 +974,7 @@ class Machine:
             self._tmsgs[_AMO_DATA] += 1
             tm.flits += _F_AMO_DATA
             tm.flit_hops += _F_AMO_DATA * resp_hops
-            if active:
+            if bus.wants_message:
                 self._message(_AMO_DATA, resp_hops)
             done = exec_done + self._s2c_lat[slice_id][core]
             stats.amo_latency_sum += done - now
@@ -981,7 +987,7 @@ class Machine:
         self._tmsgs[_COMP_ACK] += 1
         tm.flits += _F_COMP_ACK
         tm.flit_hops += _F_COMP_ACK * resp_hops
-        if active:
+        if bus.wants_message:
             self._message(_COMP_ACK, resp_hops)
         ack = snoop_done + self._s2c_lat[slice_id][core]
         stats.amo_latency_sum += ack - now
@@ -1016,13 +1022,12 @@ class Machine:
         tm.flits += flits
         tm.flit_hops += flits * hops
         bus = self.bus
-        if bus.active:
+        if bus.wants_message:
             self._message(_SNOOP, hops)
             self._message(_SNOOP_DATA if with_data else _SNOOP_RESP, hops)
-            if snoop_event:
-                bus.emit(Event(EventKind.SNOOP, bus.now, target, block,
-                               info={"slice": slice_id,
-                                     "with_data": with_data}))
+        if snoop_event and bus.wants_snoop:
+            bus.emit(Event(EventKind.SNOOP, bus.now, target, block,
+                           info={"slice": slice_id, "with_data": with_data}))
 
     def _holder_is_dirty(self, core: int, block: int) -> bool:
         # Inlined PrivateCacheHierarchy.find (L1 then L2) — called in a
@@ -1077,10 +1082,10 @@ class Machine:
             forwards_data = line.state.is_dirty or line.state is CacheState.UC
             self._record_snoop_traffic(slice_id, holder,
                                        with_data=forwards_data, block=block)
-            if self.bus.active:
+            if self.bus.wants_invalidation:
                 self.bus.emit(Event(
                     EventKind.INVALIDATION, self.bus.now, holder, block,
-                    info={"state": line.state.name, "requestor": ack_to,
+                    info={"state": line.state._name_, "requestor": ack_to,
                           "was_in_l1": was_in_l1}))
             to_holder = s2c[holder]
             if ack_to is None or not direct:
@@ -1131,14 +1136,14 @@ class Machine:
             self._tmsgs[_EVICT_NOTIFY] += 1
             tm.flits += _F_EVICT_NOTIFY
             tm.flit_hops += _F_EVICT_NOTIFY * hops
-            if self.bus.active:
+            if self.bus.wants_message:
                 self._message(_EVICT_NOTIFY, hops)
             return
         # UC/UD/SD carry data back; the exclusive LLC allocates it.
         self._tmsgs[_WRITEBACK] += 1
         tm.flits += _F_WRITEBACK
         tm.flit_hops += _F_WRITEBACK * hops
-        if self.bus.active:
+        if self.bus.wants_message:
             self._message(_WRITEBACK, hops)
         self._llc_fill(hn, block)
 
@@ -1154,8 +1159,9 @@ class Machine:
             tm.flits += _F_MEM_WRITE
             tm.flit_hops += _F_MEM_WRITE
             bus = self.bus
-            if bus.active:
+            if bus.wants_message:
                 self._message(_MEM_WRITE, 1)
+            if bus.wants_dram_write:
                 bus.emit(Event(EventKind.DRAM_WRITE, bus.now,
                                block=victim.block, info={"channel": chan}))
 
@@ -1170,21 +1176,23 @@ class Machine:
         flits = _F_MEM_READ + _F_MEM_DATA
         tm.flits += flits
         tm.flit_hops += flits
-        if self.bus.active:
+        bus = self.bus
+        if bus.wants_message:
             self._message(_MEM_READ, 1)
             self._message(_MEM_DATA, 1)
-            self.bus.emit(Event(EventKind.DRAM_READ, issue_time,
-                                block=block, info={"channel": chan}))
+        if bus.wants_dram_read:
+            bus.emit(Event(EventKind.DRAM_READ, issue_time,
+                           block=block, info={"channel": chan}))
         return done
 
     def _message(self, msg: MsgType, hops: int,
                  enqueue: Optional[int] = None,
                  dequeue: Optional[int] = None) -> None:
         """Emit the MESSAGE event of one message the caller has already
-        counted (active bus only).  Requests that serialize at a home
+        counted (only called when ``bus.wants_message``).  Requests that serialize at a home
         node pass ``enqueue``/``dequeue`` (arrival at the ordering point,
         start of service): sinks histogram the difference as queueing."""
-        info: Dict[str, object] = {"msg": msg.name, "hops": hops,
+        info: Dict[str, object] = {"msg": msg._name_, "hops": hops,
                                    "count": 1}
         if enqueue is not None:
             info["enqueue"] = enqueue
@@ -1192,12 +1200,11 @@ class Machine:
         bus = self.bus
         bus.emit(Event(EventKind.MESSAGE, bus.now, info=info))
 
-    # --- event emission helpers (only called when the bus is active) --
+    # --- event emission helpers (only called behind the kind's gate) ---
 
     def _emit_downgrade(self, owner: int, block: int) -> None:
         bus = self.bus
-        if bus.active:
-            bus.emit(Event(EventKind.DOWNGRADE, bus.now, owner, block))
+        bus.emit(Event(EventKind.DOWNGRADE, bus.now, owner, block))
 
     def _emit_handoff(self, block: int, prev_owner: Optional[int],
                       new_owner: Optional[int]) -> None:

@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from repro.harness.executor import (CacheSchemaError, ParallelExecutor,
                                     ResultStore, SerialExecutor,
                                     default_jobs, deserialize_result,
-                                    make_executor, make_spec,
+                                    execute_spec, make_executor, make_spec,
                                     serialize_result)
 from repro.harness.runner import Runner, speedups_vs_baseline
 from repro.noc.message import MsgType, TrafficMeter
 from repro.sim.config import DEFAULT_CONFIG
+from repro.sim.events import Sink, TraceSink
 from repro.sim.results import MachineStats, SimulationResult
 
 # --- round-trip property test ----------------------------------------
@@ -455,3 +456,33 @@ def test_progress_disabled_for_empty_sweeps(monkeypatch):
     from repro.harness.executor import SweepProgress
     monkeypatch.setenv("REPRO_PROGRESS", "1")
     assert not SweepProgress(0, stream=_FakeTTY()).enabled
+
+
+# --- sink lifecycle -----------------------------------------------------
+
+
+class _FailAfter(Sink):
+    """Raises on the event after its first ``limit``."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.seen = 0
+
+    def on_event(self, event):
+        self.seen += 1
+        if self.seen > self.limit:
+            raise RuntimeError("sink failed")
+
+
+def test_failed_run_still_closes_its_sinks(tmp_path):
+    """A run that raises mid-simulation flushes a trace file it was
+    writing: the file holds every event the TraceSink counted."""
+    path = tmp_path / "trace.jsonl"
+    trace = TraceSink(str(path))
+    with pytest.raises(RuntimeError, match="sink failed"):
+        execute_spec(make_spec("HIST", "all-near", threads=2, scale=0.05),
+                     extra_sinks=(trace, _FailAfter(20)))
+    assert trace.events_written == 21
+    lines = path.read_text().splitlines()
+    assert len(lines) == trace.events_written
+    assert all(json.loads(line) for line in lines)

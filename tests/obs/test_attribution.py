@@ -14,6 +14,7 @@ The load-bearing invariants:
   against the checked-in schemas CI also uses.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -164,6 +165,36 @@ class TestStampedStreamPin:
         sink = _StampedDigestSink()
         execute_spec(spec, extra_sinks=(sink,))
         assert (sink.events, sink.hexdigest()) == \
+            self.PINS[(workload, policy)]
+
+
+class TestStampedPayloadPin:
+    """Pins what ``repro why`` reports, not just the stream it reads:
+    the sha256 of the BlameSink + AuditSink payloads on one golden cell
+    per golden policy (constants computed before kind routing)."""
+
+    #: (workload, policy) -> sha256 of json.dumps([blame, amt_audit])
+    PINS = {
+        ("KVS", "all-near"):
+            "78c317f367b16f87cddf3f2cf252d95621095fa192bf4912d63f94e1dcb7ca32",
+        ("AMOCOST", "present-near"):
+            "6dc5321229f9e7acc4f2f9c7db7b218823bd9274922b18812d783bbc0bbbb454",
+        ("BOOK", "dynamo-reuse-pn"):
+            "dc9007254704b8a00885b9cd72e9665aac0861cf7b44f2c8b47aa0e25e3352f4",
+    }
+
+    def test_pins_cover_every_golden_policy(self):
+        assert sorted(pol for _wl, pol in self.PINS) == \
+            sorted(GOLDEN_POLICIES)
+
+    @pytest.mark.parametrize("workload,policy", sorted(PINS))
+    def test_blame_and_audit_payloads_are_unchanged(self, workload, policy):
+        spec = make_spec(workload, policy, threads=GOLDEN_THREADS,
+                         scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+        result = execute_spec(spec, extra_sinks=(BlameSink(), AuditSink()))
+        payload = json.dumps([result.metadata["blame"],
+                              result.metadata["amt_audit"]], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == \
             self.PINS[(workload, policy)]
 
 

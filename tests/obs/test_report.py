@@ -3,7 +3,7 @@
 from repro.harness.executor import make_spec
 from repro.obs.report import (ContentionSink, load_profile, profile_spec,
                               render_profile, save_profile)
-from repro.sim.events import Event, EventKind
+from repro.sim.events import Event, EventBus, EventKind
 
 # --- contention sink --------------------------------------------------
 
@@ -25,10 +25,13 @@ def test_contention_sink_ranks_by_invalidations():
 
 
 def test_contention_sink_ignores_unrelated_events():
-    sink = ContentionSink()
-    sink.on_event(_ev(EventKind.SNOOP, 0, 0x100))
-    sink.on_event(Event(EventKind.MESSAGE, 0))
+    """The bus routes the sink only the kinds it declares."""
+    bus = EventBus()
+    sink = bus.subscribe(ContentionSink())
+    bus.emit(_ev(EventKind.SNOOP, 0, 0x100))
+    bus.emit(Event(EventKind.MESSAGE, 0))
     assert sink.top_blocks(10) == []
+    assert not sink.cores_touching
 
 
 def test_contention_finalize_writes_metadata():

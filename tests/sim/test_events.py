@@ -11,16 +11,20 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.modelcheck.sanitize import SanitizerSink
 from repro.frontend import isa
 from repro.frontend.program import GeneratorProgram
-from repro.harness.golden import GOLDEN_POLICIES
+from repro.harness.executor import execute_spec, make_spec, serialize_result
+from repro.harness.golden import (GOLDEN_POLICIES, GOLDEN_SCALE,
+                                  GOLDEN_SEED, GOLDEN_THREADS)
 from repro.noc.message import MsgType
+from repro.obs.attribution import AuditSink, BlameSink
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import run
-from repro.sim.events import (CollectorSink, EventBus, EventKind,
-                              StatsSink, TraceSink, TrafficSink)
+from repro.sim.events import (CollectorSink, Event, EventBus, EventKind,
+                              StatsSink, TraceSink, TrafficSink, trace_line)
 from repro.sim.machine import Machine
 from repro.sync.mutex import PthreadMutex
 
@@ -70,6 +74,16 @@ def test_stock_sinks_do_not_activate_dispatch():
     assert not bus.active
 
 
+def test_every_kind_has_a_declared_gate():
+    """Each kind's gate is declared on EventBus (type checkers read the
+    declarations) and stays false until a sink reads the kind."""
+    bus = EventBus()
+    for kind in EventKind:
+        gate = "wants_" + kind.name.lower()
+        assert gate in EventBus.__annotations__
+        assert getattr(bus, gate) is False
+
+
 def test_machine_counters_are_fused_with_bus():
     machine = Machine(TINY_CONFIG, "all-near")
     assert machine.stats is machine.bus.stats
@@ -79,10 +93,100 @@ def test_machine_counters_are_fused_with_bus():
 
 def test_event_as_dict_flattens_info():
     ev = EventKind.AMO_NEAR
-    from repro.sim.events import Event
     d = Event(ev, 7, 2, 0x40, info={"op": "STADD"}).as_dict()
     assert d == {"kind": "amo-near", "cycle": 7, "core": 2,
                  "block": 0x40, "op": "STADD"}
+
+
+# --- template trace lines ----------------------------------------------
+
+_scalars = st.one_of(st.integers(), st.booleans(), st.none(),
+                     st.text(max_size=8))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+#: info keys, including the base fields an info key may override and a
+#: '%' that the template must escape.
+_keys = st.one_of(st.sampled_from(["kind", "cycle", "core", "block",
+                                   "msg", "hops", "%s", "l\u00e4t"]),
+                  st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(EventKind)), cycle=st.integers(),
+       core=st.integers(), block=st.integers(),
+       info=st.one_of(st.none(),
+                      st.dictionaries(_keys, _values, max_size=6)))
+@example(kind=EventKind.AMO_NEAR, cycle=3, core=1, block=2,
+         info={"decided": True, "cas_ok": False, "amt": (True, None),
+               "latency": 1})
+def test_trace_line_matches_json_dumps(kind, cycle, core, block, info):
+    """The cached-template line is byte-identical to json.dumps."""
+    event = Event(kind, cycle, core, block, info=info)
+    assert trace_line(event) == \
+        json.dumps(event.as_dict(), sort_keys=True) + "\n"
+
+
+# --- routing by kind ----------------------------------------------------
+
+
+class _NearOnly(CollectorSink):
+    kinds = frozenset({EventKind.AMO_NEAR})
+
+
+def test_kind_routed_sink_sees_exactly_its_kind_in_order():
+    near, full = _NearOnly(), CollectorSink()
+    run_with_sinks("dynamo-reuse-pn", sinks=[near, full])
+    assert near.events
+    assert near.events == full.by_kind(EventKind.AMO_NEAR)
+
+
+def _golden_spec(workload, policy):
+    return make_spec(workload, policy, threads=GOLDEN_THREADS,
+                     scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+
+
+def test_stamped_sinks_build_no_event_they_do_not_read(monkeypatch):
+    """BlameSink + AuditSink (``repro why``): no MESSAGE, LLC_ACCESS or
+    L1_EVICTION event is ever constructed, and the simulation is the
+    quiet run's."""
+    built = []
+    init = Event.__init__
+
+    def counting_init(self, kind, *args, **kwargs):
+        built.append(kind)
+        init(self, kind, *args, **kwargs)
+
+    spec = _golden_spec("KVS", "dynamo-reuse-pn")
+    quiet = serialize_result(execute_spec(spec))
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    stamped = serialize_result(
+        execute_spec(spec, extra_sinks=(BlameSink(), AuditSink())))
+    kinds = set(built)
+    assert kinds == BlameSink.kinds | AuditSink.kinds
+    assert not kinds & {EventKind.MESSAGE, EventKind.LLC_ACCESS,
+                        EventKind.L1_EVICTION}
+    # AuditSink alone: not even OP_RETIRE events are built.
+    built.clear()
+    audited = serialize_result(execute_spec(spec, extra_sinks=(AuditSink(),)))
+    assert set(built) == AuditSink.kinds
+    assert audited["metadata"]["amt_audit"] == \
+        stamped["metadata"]["amt_audit"]
+    for payload in (stamped, audited, quiet):
+        payload.pop("metadata")
+    assert stamped == quiet and audited == quiet
+
+
+def test_sanitizer_counts_on_a_golden_cell_are_unchanged():
+    """Routing the sanitizer by kind checks exactly the events its old
+    in-method filter did (counts computed before routing existed)."""
+    sink = SanitizerSink()
+    execute_spec(_golden_spec("KVS", "all-near"), extra_sinks=(sink,))
+    assert (sink.checks, sink.sweeps) == (1851, 28)
 
 
 # --- timing neutrality ------------------------------------------------
