@@ -9,22 +9,22 @@ simulations behind them are expensive, so:
   terminal (and the shape assertions), not sub-millisecond timing noise.
 
 Set ``REPRO_NO_CACHE=1`` to force fresh simulations, and ``REPRO_JOBS=N``
-to fan cache misses out over N worker processes (the session runner
+to fan cache misses out over N worker processes (the session executor
 picks it up automatically; a cold cache benefits enormously).
 """
 
 import pytest
 
-from repro.harness.runner import Runner
+from repro.harness.executor import Executor
 
 
 @pytest.fixture(scope="session")
-def runner():
-    """Shared caching runner for the whole benchmark session.
+def executor():
+    """Shared caching executor for the whole benchmark session.
 
-    Honors ``$REPRO_JOBS`` for parallel cache-miss execution.
+    Honors ``$REPRO_NO_CACHE`` and ``$REPRO_JOBS``.
     """
-    return Runner()
+    return Executor()
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -10,6 +10,10 @@ sequential shadow memory, AMO atomicity, deadlock freedom, and policy
 conformance against the machine-readable spec in :mod:`repro.core.spec`.
 Sleep-set partial-order reduction plus canonical state hashing keep the
 exploration tractable; see DESIGN.md §11 for the soundness argument.
+
+The runtime sanitizer that reuses these invariants on live simulations
+lives in :mod:`repro.analysis.modelcheck.sanitize`, which is not
+imported here so that ``python -m`` can run it as a script.
 """
 
 from repro.analysis.modelcheck.explore import (CellResult, CheckReport,
@@ -17,15 +21,11 @@ from repro.analysis.modelcheck.explore import (CellResult, CheckReport,
                                                replay_trace)
 from repro.analysis.modelcheck.invariants import Violation, check_swmr
 from repro.analysis.modelcheck.report import render_json, render_text
-from repro.analysis.modelcheck.sanitize import (SanitizerError,
-                                                SanitizerSink,
-                                                sanitize_requested)
 from repro.analysis.modelcheck.scope import (DEFAULT_SCOPES, SMOKE_SCOPES,
                                              Scope, ScriptOp, scope_by_name)
 
 __all__ = [
     "CellResult", "CheckReport", "check_cell", "check_grid", "replay_trace",
     "Violation", "check_swmr", "render_json", "render_text",
-    "SanitizerError", "SanitizerSink", "sanitize_requested",
     "DEFAULT_SCOPES", "SMOKE_SCOPES", "Scope", "ScriptOp", "scope_by_name",
 ]

@@ -1,5 +1,8 @@
 """Opt-in runtime invariant sanitizer (``repro run --sanitize``).
 
+``python -m repro.analysis.modelcheck.sanitize`` runs it over every
+golden-corpus cell (see :func:`main`).
+
 Reuses the model checker's read-only predicates against a *live*
 full-size simulation: per coherence-relevant event the sanitizer checks
 the event's postcondition on the affected block, and every
@@ -7,8 +10,9 @@ the event's postcondition on the affected block, and every
 :func:`~repro.analysis.modelcheck.invariants.check_swmr`.
 
 Gate: the sink is only subscribed when ``--sanitize`` is passed or
-``REPRO_SANITIZE=1`` is set.  When it is not subscribed the event bus
-stays fused/inactive, so default-mode simulation executes the exact
+``REPRO_SANITIZE=1`` is set.  When it is not subscribed every
+``wants_<kind>`` gate of the bus stays false, so default-mode
+simulation executes the exact
 instruction sequence it does without this module (the golden traces and
 ``repro bench --check`` pin that).
 """
@@ -16,7 +20,8 @@ instruction sequence it does without this module (the golden traces and
 from __future__ import annotations
 
 import os
-from typing import Any, Optional, Tuple
+import sys
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.analysis.modelcheck.invariants import check_swmr
 from repro.coherence.states import CacheState
@@ -52,7 +57,6 @@ class SanitizerSink(Sink):
     postcondition on it would encode emission order, not coherence.
     """
 
-    wants_events = True
     kinds = frozenset({
         EventKind.AMO_NEAR, EventKind.AMO_FAR, EventKind.INVALIDATION,
         EventKind.DOWNGRADE,
@@ -131,7 +135,8 @@ def sanitize_cell(spec: Any) -> Tuple[Optional[str], int, int]:
 
     Returns ``(error, checks, sweeps)``; ``error`` is the
     :class:`SanitizerError` message, or None when the cell ran clean.
-    Importable by path, so a process pool can sanitize a whole corpus.
+    Importable by path, so a process pool can sanitize a whole corpus
+    (:func:`main`).
     """
     # Imported here: the model checker imports this module and needs
     # none of the harness.
@@ -143,3 +148,33 @@ def sanitize_cell(spec: Any) -> Tuple[Optional[str], int, int]:
     except SanitizerError as exc:
         return str(exc), sink.checks, sink.sweeps
     return None, sink.checks, sink.sweeps
+
+
+def main(specs: Optional[Sequence[Any]] = None,
+         jobs: Optional[int] = None) -> int:
+    """Sanitize every golden cell (or ``specs``), one worker per CPU.
+
+    Prints one totals line and returns 0 when every cell ran clean;
+    otherwise names the first failing cell on stderr and returns 1.
+    """
+    from repro.harness.executor import fan_out
+    from repro.harness.golden import cell_key, golden_specs
+
+    if specs is None:
+        specs = golden_specs()
+    checks = sweeps = 0
+    for i, (error, cell_checks, cell_sweeps) in fan_out(
+            sanitize_cell, specs, jobs or os.cpu_count() or 1):
+        if error is not None:
+            print(f"sanitizer: {cell_key(specs[i])}: {error}",
+                  file=sys.stderr)
+            return 1
+        checks += cell_checks
+        sweeps += cell_sweeps
+    print(f"sanitizer: {len(specs)} golden cells clean "
+          f"({checks} event checks, {sweeps} full SWMR sweeps)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -149,26 +149,6 @@ class DryRunTrace:
     barriers: Dict[int, BarrierInfo] = field(default_factory=dict)
     truncated: bool = False
     total_ops: int = 0
-    _sync_addr_cache: Optional[Dict[int, int]] = field(
-        default=None, repr=False, compare=False)
-
-    def sync_object_of(self, addr: int) -> Optional[int]:
-        """Identity (word/count addr) of the sync object owning ``addr``."""
-        return self._sync_addrs().get(addr)
-
-    def _sync_addrs(self) -> Dict[int, int]:
-        cached = self._sync_addr_cache
-        if cached is None:
-            cached = {}
-            for info in self.locks.values():
-                cached[info.word] = info.word
-                for a in info.internal:
-                    cached[a] = info.word
-            for b in self.barriers.values():
-                cached[b.count_addr] = b.count_addr
-                cached[b.sense_addr] = b.count_addr
-            self._sync_addr_cache = cached
-        return cached
 
 
 # ----------------------------------------------------------------------

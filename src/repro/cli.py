@@ -64,8 +64,10 @@ from typing import List, Optional
 
 from repro.core.hardware_cost import amt_cost, l1d_area_ratio
 from repro.core.registry import POLICIES
+from repro.harness.executor import (Executor, ResultStore, default_jobs,
+                                    execute_spec, make_spec,
+                                    serialize_result)
 from repro.harness.figures import FIGURES
-from repro.harness.runner import Runner
 from repro.harness.tables import TABLES
 from repro.sim.config import DEFAULT_CONFIG, PAPER_CONFIG
 from repro.workloads import TABLE_III_CODES, WORKLOADS
@@ -95,6 +97,17 @@ def _figure_name(raw: str) -> str:
             name = name[len(prefix):].lstrip(" -_")
             break
     return name
+
+
+def _positive_int(raw: str) -> int:
+    """A worker count: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("which", type=_figure_name, choices=sorted(FIGURES),
                      help="figure name; 'fig7' and 'figure7' work too")
     fig.add_argument("--no-cache", action="store_true")
-    fig.add_argument("--jobs", type=int, default=None,
+    fig.add_argument("--jobs", type=_positive_int, default=None,
                      help="worker processes for cache misses "
                           "(default: $REPRO_JOBS or 1)")
 
@@ -210,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the pinned micro-grid and append wall-time "
                       "numbers to the benchmark history")
-    bench.add_argument("--jobs", type=int, default=1,
+    bench.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes (part of the record key)")
     bench.add_argument("--history", metavar="FILE", default=None,
                        help="history file (default: BENCH_history.json)")
@@ -250,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     golden.add_argument("--digests", metavar="FILE", default=None,
                         help="digest corpus file "
                              "(default: tests/golden/digests.json)")
-    golden.add_argument("--jobs", type=int, default=1,
+    golden.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for the recompute")
 
     srv = sub.add_parser(
@@ -261,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8321,
                      help="TCP port; 0 picks an ephemeral port "
                           "(default: 8321)")
-    srv.add_argument("--workers", type=int, default=None,
+    srv.add_argument("--workers", type=_positive_int, default=None,
                      help="simulation worker threads "
                           "(default: $REPRO_JOBS or 4)")
     srv.add_argument("--cache-dir", default=None,
@@ -316,17 +329,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                                     sanitize_requested)
 
     config = PAPER_CONFIG if args.paper_system else DEFAULT_CONFIG
-    runner = Runner(config=config, use_cache=not args.no_cache)
+    spec = make_spec(args.workload, args.policy, threads=args.threads,
+                     scale=args.scale, seed=args.seed,
+                     input_name=args.input_name, config=config)
     sanitize = args.sanitize or sanitize_requested()
     if args.trace or sanitize:
         # Traced/sanitized runs always simulate: a cached result has no
         # events for the sinks to consume.
-        from repro.harness.executor import execute_spec
         from repro.sim.events import TraceSink
 
-        spec = runner.make_spec(args.workload, args.policy,
-                                threads=args.threads, scale=args.scale,
-                                input_name=args.input_name, seed=args.seed)
         sinks = []
         trace_sink = None
         if args.trace:
@@ -350,9 +361,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  sanitizer: {san_sink.checks} event checks, "
                   f"{san_sink.sweeps} full SWMR sweeps, all clean")
     else:
-        result = runner.run(args.workload, args.policy, threads=args.threads,
-                            scale=args.scale, seed=args.seed,
-                            input_name=args.input_name)
+        result = _executor(args.no_cache).run(spec)
         print(result.summary())
     print(f"  energy breakdown (nJ): "
           + ", ".join(f"{k}={v:.1f}" for k, v in result.energy.items()))
@@ -361,20 +370,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _executor(no_cache: bool, jobs: Optional[int] = None) -> Executor:
+    """The caching executor behind ``run`` and ``figure``; ``--no-cache``
+    and ``$REPRO_NO_CACHE=1`` both disable the store."""
+    return Executor(ResultStore(enabled=False) if no_cache else None, jobs)
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     driver = FIGURES[args.which]
-    if args.which == "1":
-        # Fig. 1 runs microbenchmarks directly (no runner, no cache).
+    if args.which in ("1", "blame", "txn"):
+        # Fig. 1's microbenchmarks and the instrumented blame and txn
+        # studies simulate uncached, so they take no executor.
         data = driver()
     else:
-        data = driver(runner=Runner(use_cache=not args.no_cache,
-                                    jobs=args.jobs))
+        data = driver(executor=_executor(args.no_cache, args.jobs))
     print(data.render())
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.harness.executor import make_spec
     from repro.obs.report import (load_profile, profile_spec,
                                   render_profile, save_profile)
     from repro.obs.timeseries import DEFAULT_INTERVAL
@@ -397,8 +411,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     interval = args.interval if args.interval else DEFAULT_INTERVAL
     result = profile_spec(spec, interval=interval)
     if args.fmt == "json":
-        from repro.harness.executor import serialize_result
-
         print(json.dumps(serialize_result(result), sort_keys=True))
     else:
         print(render_profile(result, top=args.top))
@@ -410,8 +422,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _attrib_spec(args: argparse.Namespace, policy: str):
-    from repro.harness.executor import make_spec
-
     config = PAPER_CONFIG if args.paper_system else DEFAULT_CONFIG
     return make_spec(args.workload, policy, threads=args.threads,
                      scale=args.scale, seed=args.seed,
@@ -587,7 +597,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.harness.executor import ResultStore, default_jobs
     from repro.service.app import serve_forever
 
     if args.workers is not None:
@@ -596,10 +605,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers = default_jobs()
         if workers == 1:
             workers = 4
-    if workers < 1:
-        print(f"serve: --workers must be >= 1, got {workers}",
-              file=sys.stderr)
-        return 2
     store = ResultStore(args.cache_dir)
     return serve_forever(args.host, args.port, workers, store=store)
 

@@ -81,9 +81,6 @@ class SetAssocCache:
         self._pow2_mask = (num_sets - 1) if num_sets & (num_sets - 1) == 0 \
             else None
 
-    def _set_index(self, block: int) -> int:
-        return block % self.num_sets
-
     def lookup(self, block: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line for ``block``, or None.
 

@@ -77,12 +77,12 @@ class EnergySink(Sink):
 
     Energy is a pure function of the event *counts* the fused stats and
     traffic sinks already aggregate, so this sink needs no per-event
-    dispatch (``wants_events = False``) — it derives the breakdown once
-    at ``finalize`` time, exactly as the runner used to by calling
-    :func:`attach_energy` after the simulation.
+    dispatch (``kinds = frozenset()``) — it derives the breakdown once
+    at ``finalize`` time, exactly as calling :func:`attach_energy` after
+    the simulation would.
     """
 
-    wants_events = False
+    kinds = frozenset()
 
     def __init__(self, num_cores: int,
                  params: EnergyParams = DEFAULT_ENERGY) -> None:

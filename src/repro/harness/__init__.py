@@ -1,12 +1,12 @@
-"""Experiment harness: grid runner, figure/table drivers, reporting."""
+"""Experiment harness: cell planning and execution, figure/table drivers,
+reporting."""
 
-from repro.harness.runner import (Runner, RunSpec, best_static_speedups,
-                                  speedups_vs_baseline)
+from repro.harness.executor import Executor, RunSpec, make_spec
 from repro.harness.report import (apki_classes, format_series, format_table,
                                   geomean, set_geomeans, set_members)
 
 __all__ = [
-    "Runner", "RunSpec", "best_static_speedups", "speedups_vs_baseline",
+    "Executor", "RunSpec", "make_spec",
     "apki_classes", "format_series", "format_table", "geomean",
     "set_geomeans", "set_members",
 ]

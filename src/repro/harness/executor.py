@@ -1,4 +1,4 @@
-"""Run planning and execution: specs, result store, serial/parallel executors.
+"""Run planning and execution: specs, result store, the executor.
 
 The harness splits an experiment into three concerns:
 
@@ -12,18 +12,18 @@ The harness splits an experiment into three concerns:
   atomic rename, safe against concurrent sweeps sharing one cache
   directory) and an in-process memo so a sweep never deserializes the
   same JSON twice.  The store is service-grade: entries live in 256
-  key-prefix shard directories (a flat pre-shard cache is still read
-  and migrated on first touch), the memo is a bounded LRU so a
+  key-prefix shard directories, the memo is a bounded LRU so a
   long-lived server cannot leak memory across millions of distinct
   specs, all memo traffic is thread-safe, and an optional byte budget
   (``$REPRO_CACHE_BYTES``) evicts least-recently-used entries from
   disk after every write.
-* **Execution** — :class:`SerialExecutor` runs cells in order in this
-  process; :class:`ParallelExecutor` fans misses out over a
-  ``concurrent.futures.ProcessPoolExecutor``.  Workers return the
-  *serialized* result dict and the parent deserializes and stores it,
-  so a parallel sweep produces byte-identical cache files to a serial
-  one.
+* **Execution** — :class:`Executor` answers a batch's hits from the
+  store and computes its misses through :func:`fan_out`, in this
+  process for one worker and on a ``ProcessPoolExecutor`` otherwise.
+  Either way the computed result is serialized and deserialized before
+  it is stored, so a parallel sweep produces byte-identical cache files
+  to a serial one.  :func:`fan_out` is also how the golden oracle and
+  the corpus sanitizer spread their uncached cells over workers.
 
 Serialization is strict: :func:`deserialize_result` rejects unknown or
 missing fields with :class:`CacheSchemaError`, and the store treats any
@@ -34,6 +34,7 @@ model revision re-runs instead of silently resurrecting drifted data.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -42,8 +43,10 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from multiprocessing import get_context
+from typing import (IO, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from repro.energy.model import EnergySink
 from repro.noc.message import MsgType, TrafficMeter
@@ -53,6 +56,9 @@ from repro.sim.events import EventBus, Sink
 from repro.sim.machine import Machine
 from repro.sim.results import MachineStats, SimulationResult
 from repro.workloads.base import make_workload
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 #: Bump to invalidate all cached results after a model change.
 CACHE_VERSION = 8
@@ -269,9 +275,7 @@ class ResultStore:
 
     Layout: entries are spread over 256 shard directories keyed by the
     first two hex characters of the cache key, keeping per-directory
-    entry counts sane at service scale.  A flat pre-shard cache is
-    still honoured: a legacy ``<key>.json`` directly under the cache
-    root is read and promoted into its shard on first touch.
+    entry counts sane at service scale.
 
     The memo is an LRU bounded at ``memo_entries`` results (default
     ``$REPRO_MEMO_ENTRIES`` or 4096) and guarded by a lock, so a
@@ -309,10 +313,6 @@ class ResultStore:
     def path_for(self, spec: RunSpec) -> str:
         key = spec.cache_key()
         return os.path.join(self.shard_dir(key), key + ".json")
-
-    def legacy_path_for(self, spec: RunSpec) -> str:
-        """Pre-shard flat location (read-only back-compat)."""
-        return os.path.join(self.cache_dir, spec.cache_key() + ".json")
 
     # --- memo (LRU, thread-safe) --------------------------------------
 
@@ -354,25 +354,13 @@ class ResultStore:
             return memo
         path = self.path_for(spec)
         data = self._read_json(path)
-        migrated = False
-        if data is None:
-            data = self._read_json(self.legacy_path_for(spec))
-            migrated = data is not None
         if data is None:
             return None
         try:
             result = deserialize_result(data)
         except CacheSchemaError:
             return None  # written by a different revision: recompute
-        if migrated:
-            # Promote the legacy flat entry into its shard (and drop the
-            # old file) so one pass over a pre-shard cache migrates it.
-            self._write_entry(key, data)
-            try:
-                os.unlink(self.legacy_path_for(spec))
-            except OSError:
-                pass
-        elif self.byte_budget is not None:
+        if self.byte_budget is not None:
             try:  # refresh recency so LRU eviction spares hot entries
                 os.utime(path)
             except OSError:
@@ -412,7 +400,7 @@ class ResultStore:
     # --- eviction -----------------------------------------------------
 
     def _disk_entries(self) -> List[Tuple[float, int, str]]:
-        """All cache entries as ``(mtime, size, path)`` (stat races ok)."""
+        """Entries in the root and the shards as ``(mtime, size, path)``."""
         entries = []
         try:
             roots = [self.cache_dir] + [
@@ -557,72 +545,92 @@ def execute_spec(spec: RunSpec,
 
 
 def _execute_serialized(spec: RunSpec) -> Dict:
-    """Worker entry point: run a spec, return the serialized result.
+    """Fan-out entry point: run a spec, return the serialized result.
 
-    Workers hand back plain dicts (cheap to pickle); the parent is the
-    single writer to the store, which both keeps the memo coherent and
-    makes parallel cache files byte-identical to serial ones.
+    Workers hand back plain dicts (cheap to pickle); the calling process
+    is the single writer to the store, which both keeps the memo
+    coherent and makes cache files independent of the worker count.
     """
     return serialize_result(execute_spec(spec))
 
 
-class SerialExecutor:
-    """Runs cells one after another in the calling process."""
+def fan_out(fn: Callable[[T], R], items: Sequence[T],
+            jobs: int) -> Iterator[Tuple[int, R]]:
+    """Yield ``(i, fn(items[i]))`` for every item, in completion order.
 
-    jobs = 1
+    The one place the harness starts worker processes.  With one worker
+    or one item the calls run in this process, in order; otherwise they
+    run on a pool of up to ``jobs`` spawned worker processes (``fn`` and
+    the items must pickle).  When a call raises, items not yet started are
+    dropped, the calls already running still yield their results, and
+    then the first error is raised.  Closing the iterator early drops
+    the items not yet started too.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(items) <= 1:
+        for i, item in enumerate(items):
+            yield i, fn(item)
+        return
+    error: Optional[BaseException] = None
+    # Spawned, not forked: forking a process that runs threads (a server,
+    # a test harness) can copy a lock some thread holds.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             mp_context=get_context("spawn")) as pool:
+        index = {pool.submit(fn, item): i for i, item in enumerate(items)}
+        live = set(index)
+        try:
+            while live:
+                done, live = wait(live, return_when=FIRST_COMPLETED)
+                for future in done:
+                    exc = future.exception()
+                    if exc is None:
+                        yield index[future], future.result()
+                    elif error is None:
+                        error = exc
+                if error is not None:
+                    # Drop what has not started; cancel() fails on a
+                    # running call, which stays live and still yields.
+                    live = {f for f in live if not f.cancel()}
+        finally:
+            for future in live:
+                future.cancel()
+    if error is not None:
+        raise error
 
-    def __init__(self, store: Optional[ResultStore] = None) -> None:
-        self.store = store if store is not None else ResultStore()
 
-    def run(self, spec: RunSpec) -> SimulationResult:
-        cached = self.store.load(spec)
-        if cached is not None:
-            return cached
-        result = execute_spec(spec)
-        self.store.store(spec, result)
-        return result
+class Executor:
+    """Runs batches of cells over one :class:`ResultStore`.
 
-    def run_many(self, specs: Iterable[RunSpec]) -> List[SimulationResult]:
-        specs = list(specs)
-        results: List[Optional[SimulationResult]] = [
-            self.store.load(spec) for spec in specs]
-        progress = SweepProgress(sum(1 for r in results if r is None))
-        for i, spec in enumerate(specs):
-            if results[i] is not None:
-                continue
-            # A duplicate spec earlier in the batch may have filled the
-            # memo since the first cache pass.
-            cached = self.store.load(spec)
-            if cached is not None:
-                results[i] = cached
-                continue
-            result = execute_spec(spec)
-            self.store.store(spec, result)
-            results[i] = result
-            progress.step(spec)
-        return results  # type: ignore[return-value]
-
-
-class ParallelExecutor:
-    """Fans cache misses out over a process pool.
-
-    Results are returned in the order of ``specs``.  Duplicate specs in
-    one batch are simulated once.  The pool is created per batch: worker
-    processes hold no state between batches, and a batch of all-hits
-    never spawns a pool at all.
+    Hits are answered from the store; misses are deduplicated by cache
+    key and computed through :func:`fan_out` on ``jobs`` workers
+    (default ``$REPRO_JOBS`` or 1).  Every computed cell makes the same
+    serialize/deserialize round trip, in-process or not, so cache files
+    and returned results do not depend on the worker count.  Without a
+    ``store`` the default cache is used, disabled when
+    ``$REPRO_NO_CACHE`` is "1".
     """
 
-    def __init__(self, jobs: int,
-                 store: Optional[ResultStore] = None) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.store = store if store is not None else ResultStore()
+    def __init__(self, store: Optional[ResultStore] = None,
+                 jobs: Optional[int] = None) -> None:
+        if store is None:
+            store = ResultStore(
+                enabled=os.environ.get("REPRO_NO_CACHE") != "1")
+        self.store = store
+        self.jobs = jobs if jobs is not None else default_jobs()
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def run(self, spec: RunSpec) -> SimulationResult:
+        """One cell: its cached result, or a fresh (stored) one."""
         return self.run_many([spec])[0]
 
     def run_many(self, specs: Iterable[RunSpec]) -> List[SimulationResult]:
+        """Results in the order of ``specs``; duplicates run once.
+
+        When a cell fails, every cell that finished is still stored, and
+        then the error is raised.
+        """
         specs = list(specs)
         results: List[Optional[SimulationResult]] = [None] * len(specs)
         misses: Dict[str, Tuple[RunSpec, List[int]]] = {}
@@ -632,28 +640,20 @@ class ParallelExecutor:
                 results[i] = cached
             else:
                 misses.setdefault(spec.cache_key(), (spec, []))[1].append(i)
-        if misses:
-            progress = SweepProgress(len(misses))
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {
-                    pool.submit(_execute_serialized, spec): (spec, idxs)
-                    for spec, idxs in misses.values()}
-                for future in as_completed(futures):
-                    spec, idxs = futures[future]
-                    result = deserialize_result(future.result())
-                    self.store.store(spec, result)
-                    for i in idxs:
-                        results[i] = result
-                    progress.step(spec)
+        todo = list(misses.values())
+        progress = SweepProgress(len(todo))
+        for n, data in fan_out(_execute_serialized,
+                               [spec for spec, _ in todo], self.jobs):
+            spec, idxs = todo[n]
+            result = deserialize_result(data)
+            self.store.store(spec, result)
+            for i in idxs:
+                results[i] = result
+            progress.step(spec)
         return results  # type: ignore[return-value]
 
 
-def make_executor(jobs: Optional[int] = None,
-                  store: Optional[ResultStore] = None):
-    """Executor for ``jobs`` workers (None -> ``$REPRO_JOBS`` -> serial)."""
-    jobs = jobs if jobs is not None else default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor(store)
-    return ParallelExecutor(jobs, store)
+# The serve-zipf benchmark's set-up still imports this name; it goes
+# with the benchmark follow-up that drops that import (ROADMAP item 1).
+# One worker, whatever $REPRO_JOBS says: the pre-fill runs in-process.
+SerialExecutor = functools.partial(Executor, jobs=1)

@@ -1,30 +1,32 @@
 """Figure drivers: regenerate every figure of the paper's evaluation.
 
-Each ``figureN`` function runs the simulations that figure needs (through
-the caching :class:`~repro.harness.runner.Runner`) and returns a
-structured result object with the same series/rows the paper plots, plus
-a ``render()`` that prints them.  The benchmark suite calls these drivers
-and asserts the paper's qualitative shapes on the returned data.
+Each ``figureN`` function runs the simulations that figure needs and
+returns a structured result object with the same series/rows the paper
+plots, plus a ``render()`` that prints them.  The benchmark suite calls
+these drivers and asserts the paper's qualitative shapes on the
+returned data.
 
-Drivers plan their whole grid as :class:`~repro.harness.executor.RunSpec`
-batches and submit them through ``Runner.run_specs`` / ``Runner.sweep``,
-so a runner constructed with ``jobs > 1`` (or ``$REPRO_JOBS``) fans the
-figure's cache misses out over worker processes.
+Drivers plan their whole grid against
+:data:`~repro.sim.config.DEFAULT_CONFIG` as one batch of
+:class:`~repro.harness.executor.RunSpec` cells and submit it to an
+:class:`~repro.harness.executor.Executor`, which answers hits from the
+result cache and, with ``jobs > 1`` (or ``$REPRO_JOBS``), fans the
+figure's misses out over worker processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.registry import STATIC_POLICY_NAMES
-from repro.energy.model import energy_breakdown
+from repro.harness.executor import Executor, make_spec
 from repro.harness.report import (apki_classes, format_series, format_table,
                                   set_geomeans)
-from repro.harness.runner import Runner, speedups_vs_baseline
 from repro.sim.config import DEFAULT_CONFIG, SystemConfig
 from repro.sim.engine import run as engine_run
 from repro.sim.machine import Machine
+from repro.sim.results import SimulationResult
 from repro.workloads import TABLE_III_CODES
 from repro.workloads.microbench import SharedCounter
 
@@ -33,6 +35,49 @@ DYNAMO_POLICIES = ["dynamo-metric", "dynamo-reuse-un", "dynamo-reuse-pn"]
 
 #: Thread counts of the Fig. 1 sweep.
 FIG1_THREADS = (1, 2, 4, 8, 16)
+
+
+def sweep(executor: Executor, workloads: Iterable[str],
+          policies: Iterable[str],
+          **kwargs) -> Dict[str, Dict[str, SimulationResult]]:
+    """Run a workload x policy grid as one batch; ``kwargs`` go to
+    :func:`~repro.harness.executor.make_spec`.  Returns
+    ``results[workload][policy]``."""
+    cells = [(wl, pol) for wl in workloads for pol in policies]
+    results = executor.run_many(
+        [make_spec(wl, pol, **kwargs) for wl, pol in cells])
+    grid: Dict[str, Dict[str, SimulationResult]] = {}
+    for (wl, pol), result in zip(cells, results):
+        grid.setdefault(wl, {})[pol] = result
+    return grid
+
+
+def speedups_vs_baseline(grid: Dict[str, Dict[str, SimulationResult]],
+                         baseline: str = BASELINE
+                         ) -> Dict[str, Dict[str, float]]:
+    """Per-workload speed-ups of each policy over ``baseline``.
+
+    Raises:
+        ValueError: when a workload's row has no ``baseline`` entry —
+            the grid was swept without the baseline policy.
+    """
+    out: Dict[str, Dict[str, float]] = {}
+    for wl, by_policy in grid.items():
+        base = by_policy.get(baseline)
+        if base is None:
+            raise ValueError(
+                f"workload {wl!r} has no {baseline!r} result to normalize "
+                f"against (policies present: {sorted(by_policy)})")
+        out[wl] = {pol: res.speedup_over(base) if pol != baseline else 1.0
+                   for pol, res in by_policy.items()}
+    return out
+
+
+def best_static_speedups(static_speedups: Dict[str, Dict[str, float]]
+                         ) -> Dict[str, float]:
+    """Per-workload best static speed-up (the paper's Best Static bar)."""
+    return {wl: max(by_policy.values())
+            for wl, by_policy in static_speedups.items()}
 
 
 @dataclass
@@ -122,13 +167,13 @@ def figure1(config: SystemConfig = DEFAULT_CONFIG,
         notes="updates per kilocycle; higher is better")
 
 
-def figure6(runner: Optional[Runner] = None,
+def figure6(executor: Optional[Executor] = None,
             workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> FigureData:
     """Fig. 6: committed AMOs per kilo-instruction per workload, split
     into AtomicLoad and AtomicStore, under the All Near baseline."""
-    runner = runner or Runner()
-    results = runner.run_specs(
-        [runner.make_spec(code, BASELINE) for code in workloads])
+    executor = executor or Executor()
+    results = executor.run_many(
+        [make_spec(code, BASELINE) for code in workloads])
     loads, stores = [], []
     for res in results:
         total = res.stats.amo_loads + res.stats.amo_stores
@@ -147,11 +192,10 @@ def figure6(runner: Optional[Runner] = None,
 
 
 def _speedup_grid(name: str, policies: List[str],
-                  runner: Optional[Runner],
+                  executor: Optional[Executor],
                   workloads: Sequence[str],
                   notes: str = "") -> SpeedupGrid:
-    runner = runner or Runner()
-    grid = runner.sweep(workloads, [BASELINE] + policies)
+    grid = sweep(executor or Executor(), workloads, [BASELINE] + policies)
     speedups = speedups_vs_baseline(grid, BASELINE)
     classes = apki_classes({wl: grid[wl][BASELINE] for wl in workloads})
     for wl in speedups:
@@ -162,27 +206,27 @@ def _speedup_grid(name: str, policies: List[str],
     return data
 
 
-def figure7(runner: Optional[Runner] = None,
+def figure7(executor: Optional[Executor] = None,
             workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> SpeedupGrid:
     """Fig. 7: static-policy speed-ups over All Near + Best Static bar."""
     policies = [p for p in STATIC_POLICY_NAMES if p != BASELINE]
     data = _speedup_grid("Figure 7: static AMO policies (vs All Near)",
-                         policies, runner, workloads,
+                         policies, executor, workloads,
                          notes="best-static = per-workload max over the "
                                "static policies")
-    for wl in data.speedups:
-        data.speedups[wl]["best-static"] = max(data.speedups[wl].values())
+    for wl, best in best_static_speedups(data.speedups).items():
+        data.speedups[wl]["best-static"] = best
     data.policies = policies + ["best-static"]
     data.compute_geomeans()
     return data
 
 
-def figure8(runner: Optional[Runner] = None,
+def figure8(executor: Optional[Executor] = None,
             workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> SpeedupGrid:
     """Fig. 8: DynAMO predictor speed-ups over All Near + Best Static."""
     static = [p for p in STATIC_POLICY_NAMES if p != BASELINE]
     data = _speedup_grid("Figure 8: DynAMO predictors (vs All Near)",
-                         static + DYNAMO_POLICIES, runner, workloads)
+                         static + DYNAMO_POLICIES, executor, workloads)
     for wl in data.speedups:
         best = max(data.speedups[wl][p] for p in static)
         for p in static:
@@ -197,19 +241,18 @@ def figure8(runner: Optional[Runner] = None,
 FIG9_INPUTS = {"SPMV": ("JP", "rma10"), "HIST": ("IMG", "BMP24")}
 
 
-def figure9(runner: Optional[Runner] = None) -> FigureData:
+def figure9(executor: Optional[Executor] = None) -> FigureData:
     """Fig. 9: input sensitivity of SPMV and HIST.
 
     Unique Near wins on the streaming inputs (JP / uniform image) and
     loses on the locality inputs (rma10 / skewed image), while
     DynAMO-Reuse-PN adapts to both.
     """
-    runner = runner or Runner()
     cells = [(wl, inp) for wl, inputs in FIG9_INPUTS.items()
              for inp in inputs]
     policies = (BASELINE, "unique-near", "dynamo-reuse-pn")
-    results = iter(runner.run_specs(
-        [runner.make_spec(wl, pol, input_name=inp)
+    results = iter((executor or Executor()).run_many(
+        [make_spec(wl, pol, input_name=inp)
          for wl, inp in cells for pol in policies]))
     xs, un, dyn = [], [], []
     for wl, inp in cells:
@@ -233,7 +276,7 @@ FIG10_COUNTERS = (8, 16, 32, 64, 128)
 FIG10_WORKLOADS = ("GME", "KCOR", "SPT", "HIST", "RSOR", "SPMV")
 
 
-def figure10(runner: Optional[Runner] = None,
+def figure10(executor: Optional[Executor] = None,
              workloads: Sequence[str] = FIG10_WORKLOADS) -> FigureData:
     """Fig. 10: DynAMO-Reuse-PN sensitivity to AMT sizing.
 
@@ -243,8 +286,7 @@ def figure10(runner: Optional[Runner] = None,
     """
     from repro.harness.report import geomean
 
-    runner = runner or Runner()
-    cfg = runner.config
+    cfg = DEFAULT_CONFIG
     points: List = []
     for entries in FIG10_ENTRIES:
         points.append((f"entries={entries}", cfg.replace(amt_entries=entries)))
@@ -256,8 +298,8 @@ def figure10(runner: Optional[Runner] = None,
 
     # One batch over the whole (sweep point x workload x policy) space:
     # the parallel executor sees every miss at once.
-    results = iter(runner.run_specs(
-        [runner.make_spec(wl, pol, config=config)
+    results = iter((executor or Executor()).run_many(
+        [make_spec(wl, pol, config=config)
          for _label, config in points
          for wl in workloads
          for pol in (BASELINE, "dynamo-reuse-pn")]))
@@ -294,7 +336,7 @@ def fig11_systems(cfg: SystemConfig) -> Dict[str, SystemConfig]:
 FIG11_WORKLOADS = ("RAY", "WAT", "VOL", "FLU", "HIST", "SPMV", "RSOR", "GME")
 
 
-def figure11(runner: Optional[Runner] = None,
+def figure11(executor: Optional[Executor] = None,
              workloads: Sequence[str] = FIG11_WORKLOADS) -> FigureData:
     """Fig. 11: DynAMO-Reuse-PN on different systems.
 
@@ -302,13 +344,12 @@ def figure11(runner: Optional[Runner] = None,
     paper finds gains grow with hop cost and are insensitive to memory
     latency.  Values are per-APKI-set geomeans of speed-up over All Near.
     """
-    runner = runner or Runner()
-    systems = fig11_systems(runner.config)
+    systems = fig11_systems(DEFAULT_CONFIG)
     sets: Dict[str, List[float]] = {"L": [], "M": [], "H": []}
     xs = list(systems)
     policies = (BASELINE, "dynamo-reuse-pn")
-    results = iter(runner.run_specs(
-        [runner.make_spec(wl, pol, config=config)
+    results = iter((executor or Executor()).run_many(
+        [make_spec(wl, pol, config=config)
          for config in systems.values()
          for wl in workloads for pol in policies]))
     for _name in systems:
@@ -330,7 +371,7 @@ def figure11(runner: Optional[Runner] = None,
         notes=f"representative workloads: {list(workloads)}")
 
 
-def energy_study(runner: Optional[Runner] = None,
+def energy_study(executor: Optional[Executor] = None,
                  workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> FigureData:
     """Section VI-E: dynamic energy of All Near / Unique Near / Reuse-PN.
 
@@ -339,9 +380,8 @@ def energy_study(runner: Optional[Runner] = None,
     """
     from repro.harness.report import geomean
 
-    runner = runner or Runner()
     policies = ["unique-near", "dynamo-reuse-pn"]
-    grid = runner.sweep(workloads, [BASELINE] + policies)
+    grid = sweep(executor or Executor(), workloads, [BASELINE] + policies)
     classes = apki_classes({wl: grid[wl][BASELINE] for wl in workloads})
     xs = ["L", "M", "H"]
     series: Dict[str, List[float]] = {}
@@ -374,8 +414,7 @@ def energy_study(runner: Optional[Runner] = None,
 BLAME_WORKLOADS = ("HIST", "SPMV", "RSOR", "GME")
 
 
-def blame_study(runner: Optional[Runner] = None,
-                workloads: Sequence[str] = BLAME_WORKLOADS) -> FigureData:
+def blame_study(workloads: Sequence[str] = BLAME_WORKLOADS) -> FigureData:
     """Cycle-blame attribution: where does DynAMO's speed-up come from?
 
     For each workload, runs All Near vs DynAMO-Reuse-PN with the
@@ -383,11 +422,8 @@ def blame_study(runner: Optional[Runner] = None,
     touch the cache) and reports the ``repro diff`` delta attribution:
     the speed-up, the fraction of the cycle delta attributed to *named*
     blame categories (the acceptance bar is >= 90%), and the category
-    explaining most of the delta.  The ``runner`` argument only supplies
-    the system config; results are not cached.
+    explaining most of the delta.  Results are not cached.
     """
-    runner = runner or Runner()
-    from repro.harness.executor import make_spec
     from repro.obs.attribution.report import diff_payload, diff_specs
 
     xs, speedup, attributed = [], [], []
@@ -395,10 +431,8 @@ def blame_study(runner: Optional[Runner] = None,
     # The golden-corpus grid shape (t8, half scale) keeps the uncached
     # instrumented runs CI-sized.
     for wl in workloads:
-        spec_a = make_spec(wl, BASELINE, threads=8, scale=0.5,
-                           config=runner.config)
-        spec_b = make_spec(wl, "dynamo-reuse-pn", threads=8, scale=0.5,
-                           config=runner.config)
+        spec_a = make_spec(wl, BASELINE, threads=8, scale=0.5)
+        spec_b = make_spec(wl, "dynamo-reuse-pn", threads=8, scale=0.5)
         res_a, res_b = diff_specs(spec_a, spec_b)
         payload = diff_payload(res_a, spec_a, res_b, spec_b)
         xs.append(wl)
@@ -424,8 +458,7 @@ TXN_FIGURE_INPUTS = ("zipf-0.5", "zipf-0.8", "zipf-1.1", "zipf-1.4")
 TXN_FIGURE_POLICIES = (BASELINE, "present-near", "dynamo-reuse-pn")
 
 
-def txn_study(runner: Optional[Runner] = None,
-              workload: str = "KVS",
+def txn_study(workload: str = "KVS",
               inputs: Sequence[str] = TXN_FIGURE_INPUTS,
               policies: Sequence[str] = TXN_FIGURE_POLICIES) -> FigureData:
     """Transactional sweep: throughput + p99 lock-acquire vs Zipf alpha.
@@ -436,11 +469,9 @@ def txn_study(runner: Optional[Runner] = None,
     series per policy: committed-transaction throughput per kilocycle
     and the p99 lock-acquisition latency.  Steeper exponents pile the
     lock traffic onto the hottest keys, which is where placement policy
-    moves the tail.  The ``runner`` argument only supplies the system
-    config.
+    moves the tail.
     """
-    runner = runner or Runner()
-    from repro.harness.executor import execute_spec, make_spec
+    from repro.harness.executor import execute_spec
     from repro.obs.histogram import HistogramSink, histograms_from_metadata
     from repro.workloads import make_workload
     from repro.workloads.txn import alpha_from_input
@@ -453,7 +484,7 @@ def txn_study(runner: Optional[Runner] = None,
         throughput, p99 = [], []
         for inp in inputs:
             spec = make_spec(workload, policy, threads=8, scale=0.5,
-                             input_name=inp, config=runner.config)
+                             input_name=inp)
             result = execute_spec(spec, extra_sinks=(HistogramSink(),))
             wl = make_workload(workload, 8, scale=0.5, input_name=inp)
             throughput.append(

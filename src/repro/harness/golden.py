@@ -33,11 +33,10 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.executor import (RunSpec, execute_spec, make_spec,
-                                    serialize_result)
+from repro.harness.executor import (RunSpec, execute_spec, fan_out,
+                                    make_spec, serialize_result)
 from repro.sim.events import Event, Sink, trace_line
 from repro.sim.results import SimulationResult
 from repro.workloads import MICRO_SWEEP_CODES, TABLE_III_CODES, TXN_CODES
@@ -138,15 +137,15 @@ def digest_cell(spec: RunSpec) -> Dict[str, object]:
 
 def compute_digests(specs: Optional[Sequence[RunSpec]] = None,
                     jobs: int = 1) -> Dict[str, Dict[str, object]]:
-    """Digest every cell of the grid; keys are :func:`cell_key` labels."""
+    """Digest every cell of the grid; keys are :func:`cell_key` labels.
+
+    Cells are simulated uncached: the oracle never reads or writes the
+    result store, so a stale cache cannot mask drift.
+    """
     if specs is None:
         specs = golden_specs()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            digests = list(pool.map(digest_cell, specs))
-    else:
-        digests = [digest_cell(spec) for spec in specs]
-    return {cell_key(spec): digest for spec, digest in zip(specs, digests)}
+    digests = dict(fan_out(digest_cell, specs, jobs))
+    return {cell_key(spec): digests[i] for i, spec in enumerate(specs)}
 
 
 def load_digests(path: str = DEFAULT_DIGEST_PATH) -> Dict:

@@ -118,14 +118,6 @@ class Mesh:
         """Latency of a direct core -> core message (forwarded data)."""
         return self.c2c_lat[a][b]
 
-    def hops_core_to_slice(self, core: int, slice_id: int) -> int:
-        """Hop count of a core -> home-node route (energy accounting)."""
-        return self.c2s_hops[core][slice_id]
-
-    def hops_slice_to_core(self, slice_id: int, core: int) -> int:
-        """Hop count of a home-node -> core route (energy accounting)."""
-        return self.s2c_hops[slice_id][core]
-
     def average_core_slice_latency(self) -> float:
         """Mean one-way RN->HN latency over all (core, slice) pairs."""
         total = sum(sum(row) for row in self.c2s_lat)

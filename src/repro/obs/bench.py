@@ -27,8 +27,7 @@ import platform
 import time
 from typing import Dict, List, Tuple
 
-from repro.harness.executor import (ResultStore, RunSpec, make_executor,
-                                    make_spec)
+from repro.harness.executor import Executor, ResultStore, RunSpec, make_spec
 
 #: Default history file, at the repository/checkout root by convention.
 DEFAULT_HISTORY = "BENCH_history.json"
@@ -83,7 +82,7 @@ def run_bench(jobs: int = 1) -> Dict:
     """Simulate the pinned grid (uncached) and build a history record."""
     specs = bench_specs()
     store = ResultStore(enabled=False)  # wall time must measure simulation
-    executor = make_executor(jobs, store)
+    executor = Executor(store, jobs)
     t0 = time.perf_counter()
     results = executor.run_many(specs)
     wall_s = time.perf_counter() - t0

@@ -204,24 +204,20 @@ def trace_line(event: Event) -> str:
 class Sink:
     """Base event consumer.
 
-    ``wants_events`` controls the bus fast path: sinks that only
-    aggregate through the fused stores or only act at ``finalize`` time
-    set it False so their presence does not force per-event dispatch.
-    ``kinds`` narrows dispatch further to the event kinds the sink
-    reads: the bus routes each event only to the sinks that read its
-    kind, so a sink never filters by kind itself, and an event kind no
-    subscribed sink reads is never built.
+    ``kinds`` declares the event kinds the sink reads: the bus routes
+    each event only to the sinks that read its kind, so a sink never
+    filters by kind itself, and an event kind no subscribed sink reads
+    is never built.  Sinks that only aggregate through the fused stores
+    or only act at ``finalize`` time declare ``kinds = frozenset()``, so
+    their presence forces no per-event dispatch at all.
     """
 
-    #: True when this sink must receive events via :meth:`on_event`.
-    wants_events = True
     #: True when this sink additionally needs the *stamp* events
     #: (OP_RETIRE breakdowns, SYNC markers, per-AMO audit fields).
     #: Stamps put the machine on an instrumented execution path that is
     #: timing-identical but slower in wall-clock, so they are gated
-    #: separately from ``wants_events``: a trace/digest sink can consume
-    #: ordinary events without forcing stamp emission.  A sink that sets
-    #: this is treated as wanting events too.
+    #: separately from ``kinds``: a trace/digest sink can consume
+    #: ordinary events without forcing stamp emission.
     wants_stamps = False
     #: The event kinds :meth:`on_event` reads (a frozenset of
     #: :class:`EventKind`); None, the default, means every kind.
@@ -236,8 +232,7 @@ class Sink:
         """
 
     def on_event(self, event: Event) -> None:
-        """Receive one event of a kind in ``kinds`` (only called when
-        ``wants_events``)."""
+        """Receive one event of a kind in ``kinds``."""
 
     def finalize(self, result) -> None:
         """Run-end hook: annotate the finished ``SimulationResult``."""
@@ -254,7 +249,7 @@ class StatsSink(Sink):
     machine owned the counters.
     """
 
-    wants_events = False
+    kinds = frozenset()
 
     def __init__(self, stats: Optional[MachineStats] = None) -> None:
         self.stats = stats if stats is not None else MachineStats()
@@ -263,7 +258,7 @@ class StatsSink(Sink):
 class TrafficSink(Sink):
     """Stock sink owning the NoC :class:`TrafficMeter` (fused)."""
 
-    wants_events = False
+    kinds = frozenset()
 
     def __init__(self, meter: Optional[TrafficMeter] = None) -> None:
         self.meter = meter if meter is not None else TrafficMeter()
@@ -272,8 +267,7 @@ class TrafficSink(Sink):
 class EventBus:
     """Connects emitters (machine, caches, home nodes) to sinks.
 
-    ``active`` is True iff at least one subscribed sink wants per-event
-    dispatch.  Each kind has a gate, ``wants_<kind>`` (``wants_message``,
+    Each kind has a gate, ``wants_<kind>`` (``wants_message``,
     ``wants_amo_near``, ...): True iff a subscribed sink reads that kind,
     and emitters guard every :meth:`emit` call, and the building of its
     event, on it.  The stamp kinds (OP_RETIRE, SYNC) are routed only
@@ -282,7 +276,7 @@ class EventBus:
     can stamp their events.
     """
 
-    __slots__ = ("stats", "traffic", "now", "active", "stamps", "_sinks",
+    __slots__ = ("stats", "traffic", "now", "stamps", "_sinks",
                  "_routes", "stats_sink", "traffic_sink") + _GATES
 
     # The per-kind gates, one per EventKind (names in ``_GATES``).
@@ -325,8 +319,6 @@ class EventBus:
         self._refresh()
 
     def _refresh(self) -> None:
-        readers = [s for s in self._sinks if s.wants_events or s.wants_stamps]
-        self.active = bool(readers)
         #: True iff a subscribed sink wants stamp events; the machine and
         #: engine select the instrumented (timing-identical) paths on it.
         self.stamps = any(s.wants_stamps for s in self._sinks)
@@ -335,7 +327,7 @@ class EventBus:
         for kind in EventKind:
             route: Tuple[Sink, ...] = ()
             if self.stamps or kind not in _STAMP_KINDS:
-                route = tuple(s for s in readers
+                route = tuple(s for s in self._sinks
                               if s.kinds is None or kind in s.kinds)
             self._routes.append(route)
             setattr(self, _GATES[kind.slot], bool(route))

@@ -127,11 +127,6 @@ class BookStore(TxnWorkload):
         self.popularity_addrs = self.layout.alloc_array(self.num_objects, 64)
         self.cart_addrs = self.layout.alloc_array(num_threads, 64)
 
-    @property
-    def total_checkouts(self) -> int:
-        return (self.rounds_per_thread // self.checkout_every) \
-            * self.num_threads
-
     def programs(self) -> List[Program]:
         def body(tid: int):
             rng = self.thread_rng(tid)

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.modelcheck import (DEFAULT_SCOPES, SMOKE_SCOPES,
-                                       SanitizerError, SanitizerSink,
                                        check_cell, check_grid,
                                        replay_trace, scope_by_name)
 from repro.analysis.modelcheck.report import render_json, render_text
-from repro.analysis.modelcheck.sanitize import sanitize_cell
+from repro.analysis.modelcheck.sanitize import (SanitizerError,
+                                                SanitizerSink,
+                                                sanitize_cell)
+from repro.analysis.modelcheck.sanitize import main as sanitize_main
 from repro.analysis.modelcheck.scope import Scope, ScriptOp
 from repro.cli import main
 from repro.coherence.directory import DirEntry
@@ -27,7 +29,7 @@ from repro.frontend.program import GeneratorProgram
 from repro.harness.executor import make_spec
 from repro.obs.attribution.schema import validate
 from repro.sim import engine
-from repro.sim.events import EventBus
+from repro.sim.events import EventBus, EventKind
 from repro.sim.machine import Machine
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "schemas")
@@ -328,10 +330,33 @@ def test_sanitize_cell_reports_clean_and_failing_cells():
     assert error == "seeded"
 
 
+def test_sanitize_main_names_the_first_failing_cell(capsys):
+    """The corpus entry point totals clean cells and names a failing one."""
+    specs = [make_spec("HIST", pol, threads=4, scale=0.1)
+             for pol in ("all-near", "present-near")]
+    assert sanitize_main(specs, jobs=1) == 0
+    assert capsys.readouterr().out.startswith(
+        "sanitizer: 2 golden cells clean (")
+    on_event = SanitizerSink.on_event
+
+    def seeded(sink, event):
+        if sink._machine.policy_name == "present-near":
+            raise SanitizerError("seeded")
+        on_event(sink, event)
+
+    with mock.patch.object(SanitizerSink, "on_event", seeded):
+        assert sanitize_main(specs, jobs=1) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sanitizer: HIST/present-near: seeded\n"
+
+
 def test_sanitizer_off_keeps_bus_inactive():
     scope = scope_by_name("mixed-rw")
     machine = Machine(scope.build_config(), "all-near", bus=EventBus())
-    assert not machine.bus.active  # the zero-cost-when-off gate
+    # The zero-cost-when-off gate: no kind is routed to any sink.
+    assert not any(getattr(machine.bus, "wants_" + kind.name.lower())
+                   for kind in EventKind)
 
 
 # --- differential: checker's schedule set covers the real engine -----------

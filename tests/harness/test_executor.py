@@ -13,12 +13,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness.executor import (CacheSchemaError, ParallelExecutor,
-                                    ResultStore, SerialExecutor,
-                                    default_jobs, deserialize_result,
-                                    execute_spec, make_executor, make_spec,
-                                    serialize_result)
-from repro.harness.runner import Runner, speedups_vs_baseline
+from repro.harness.executor import (CacheSchemaError, Executor, ResultStore,
+                                    RunSpec, default_jobs,
+                                    deserialize_result, execute_spec,
+                                    make_spec, serialize_result)
+from repro.harness.figures import speedups_vs_baseline, sweep
 from repro.noc.message import MsgType, TrafficMeter
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.events import Sink, TraceSink
@@ -204,26 +203,6 @@ def test_store_shards_by_key_prefix(tmp_path):
         os.path.join(str(tmp_path), key + ".json"))
 
 
-def test_store_reads_and_migrates_legacy_flat_entry(tmp_path):
-    """A pre-shard flat cache file is served and promoted to its shard."""
-    writer = ResultStore(str(tmp_path))
-    result = _tiny_result()
-    # Simulate a pre-shard cache: entry flat under the root.
-    with open(writer.legacy_path_for(SPEC), "w") as fh:
-        json.dump(serialize_result(result), fh)
-    reader = ResultStore(str(tmp_path))
-    loaded = reader.load(SPEC)
-    assert loaded is not None
-    assert serialize_result(loaded) == serialize_result(result)
-    assert os.path.isfile(reader.path_for(SPEC)), "entry promoted to shard"
-    assert not os.path.exists(reader.legacy_path_for(SPEC)), \
-        "legacy flat file removed after promotion"
-    # A second, fresh store now hits the sharded entry directly.
-    again = ResultStore(str(tmp_path)).load(SPEC)
-    assert again is not None
-    assert serialize_result(again) == serialize_result(result)
-
-
 def test_memo_is_a_bounded_lru(tmp_path):
     """The memo never exceeds its cap; evicted entries re-read from disk."""
     store = ResultStore(str(tmp_path), memo_entries=2)
@@ -286,6 +265,23 @@ def test_byte_budget_protects_latest_write(tmp_path):
     assert fresh.load(SPEC) is not None
 
 
+def test_byte_budget_counts_stray_root_entries(tmp_path):
+    """A ``<key>.json`` at the cache root (an older flat layout) still
+    counts against the budget and is evicted, oldest first."""
+    store = ResultStore(str(tmp_path), memo_entries=1)
+    store.store(SPEC, _tiny_result())
+    entry_bytes = os.path.getsize(store.path_for(SPEC))
+    stray = tmp_path / "0123abcd.json"
+    stray.write_bytes(b"x" * entry_bytes)
+    now = time.time()
+    os.utime(stray, (now - 10, now - 10))
+    assert store.disk_bytes() == 2 * entry_bytes
+    store.byte_budget = entry_bytes
+    store.evict_to_budget(protect=SPEC.cache_key())
+    assert not stray.exists()
+    assert os.path.exists(store.path_for(SPEC))
+
+
 def test_cache_bytes_env(monkeypatch, tmp_path):
     from repro.harness.executor import default_byte_budget
     monkeypatch.delenv("REPRO_CACHE_BYTES", raising=False)
@@ -319,17 +315,25 @@ def test_default_jobs_env(monkeypatch):
     assert default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "6")
     assert default_jobs() == 6
-    assert isinstance(make_executor(), ParallelExecutor)
+    assert Executor(ResultStore(enabled=False)).jobs == 6
     monkeypatch.setenv("REPRO_JOBS", "1")
-    assert isinstance(make_executor(), SerialExecutor)
+    assert Executor(ResultStore(enabled=False)).jobs == 1
     with pytest.raises(ValueError, match="jobs"):
-        make_executor(jobs=0)
+        Executor(ResultStore(enabled=False), jobs=0)
     monkeypatch.setenv("REPRO_JOBS", "zero")
     with pytest.raises(ValueError, match="REPRO_JOBS"):
         default_jobs()
     monkeypatch.setenv("REPRO_JOBS", "0")
     with pytest.raises(ValueError, match="REPRO_JOBS"):
         default_jobs()
+
+
+def test_serial_executor_name_ignores_repro_jobs(monkeypatch):
+    from repro.harness.executor import SerialExecutor
+    monkeypatch.setenv("REPRO_JOBS", "4")
+    executor = SerialExecutor(ResultStore(enabled=False))
+    assert isinstance(executor, Executor)
+    assert executor.jobs == 1
 
 
 # --- serial vs parallel determinism -----------------------------------
@@ -350,13 +354,11 @@ def _cache_bytes(cache_dir):
 
 def test_parallel_matches_serial_on_fig7_subgrid(tmp_path):
     """Cold-cache parallel sweep is byte-identical to the serial one."""
-    serial = Runner(cache_dir=str(tmp_path / "serial"), jobs=1)
-    parallel = Runner(cache_dir=str(tmp_path / "parallel"), jobs=4)
-    assert isinstance(serial._executor, SerialExecutor)
-    assert isinstance(parallel._executor, ParallelExecutor)
+    serial = Executor(ResultStore(str(tmp_path / "serial")), jobs=1)
+    parallel = Executor(ResultStore(str(tmp_path / "parallel")), jobs=4)
     kwargs = dict(threads=4, scale=0.1)
-    grid_s = serial.sweep(GRID_WORKLOADS, GRID_POLICIES, **kwargs)
-    grid_p = parallel.sweep(GRID_WORKLOADS, GRID_POLICIES, **kwargs)
+    grid_s = sweep(serial, GRID_WORKLOADS, GRID_POLICIES, **kwargs)
+    grid_p = sweep(parallel, GRID_WORKLOADS, GRID_POLICIES, **kwargs)
     for wl in GRID_WORKLOADS:
         for pol in GRID_POLICIES:
             assert serialize_result(grid_p[wl][pol]) == \
@@ -369,10 +371,10 @@ def test_parallel_matches_serial_on_fig7_subgrid(tmp_path):
 
 
 def test_parallel_deduplicates_and_orders(tmp_path):
-    runner = Runner(cache_dir=str(tmp_path), jobs=2)
-    spec = runner.make_spec("HIST", "all-near", threads=4, scale=0.1)
-    other = runner.make_spec("HIST", "unique-near", threads=4, scale=0.1)
-    results = runner.run_specs([spec, other, spec])
+    executor = Executor(ResultStore(str(tmp_path)), jobs=2)
+    spec = make_spec("HIST", "all-near", threads=4, scale=0.1)
+    other = make_spec("HIST", "unique-near", threads=4, scale=0.1)
+    results = executor.run_many([spec, other, spec])
     assert results[0] is results[2], "duplicate specs run once"
     assert results[0].policy == "all-near"
     assert results[1].policy == "unique-near"
@@ -381,9 +383,25 @@ def test_parallel_deduplicates_and_orders(tmp_path):
 # --- error reporting --------------------------------------------------
 
 
-def test_speedups_require_baseline(tmp_runner):
-    grid = tmp_runner.sweep(["HIST"], ["unique-near"],
-                            threads=4, scale=0.1)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_cell_keeps_finished_cells(tmp_path, jobs):
+    """A failing cell is never stored, every finished cell is, and the
+    error still reaches the caller."""
+    good = make_spec("HIST", "all-near", threads=4, scale=0.1)
+    bad = RunSpec("NOPE", "all-near", 4, 0.1)
+    executor = Executor(ResultStore(str(tmp_path)), jobs=jobs)
+    with pytest.raises(KeyError, match="NOPE"):
+        executor.run_many([good, bad])
+    assert list(_cache_bytes(tmp_path)) == [
+        os.path.relpath(executor.store.path_for(good), tmp_path)]
+    fresh = ResultStore(str(tmp_path))
+    assert fresh.load(good) is not None
+    assert fresh.load(bad) is None
+
+
+def test_speedups_require_baseline(tmp_executor):
+    grid = sweep(tmp_executor, ["HIST"], ["unique-near"],
+                 threads=4, scale=0.1)
     with pytest.raises(ValueError) as err:
         speedups_vs_baseline(grid)
     assert "all-near" in str(err.value)

@@ -66,22 +66,22 @@ class TestFigure1:
 
 
 class TestFigureDrivers:
-    def test_figure6_apki_split(self, tmp_runner):
-        data = figures.figure6(tmp_runner, workloads=("HIST", "RAY"))
+    def test_figure6_apki_split(self, tmp_executor):
+        data = figures.figure6(tmp_executor, workloads=("HIST", "RAY"))
         total_hist = data.series["AtomicLoad"][0] + data.series["AtomicStore"][0]
         assert total_hist > 8  # HIST is an H workload
         assert data.series["AtomicStore"][0] > data.series["AtomicLoad"][0]
 
-    def test_figure7_small_subset(self, tmp_runner):
-        grid = figures.figure7(tmp_runner, workloads=("HIST", "RAY"))
+    def test_figure7_small_subset(self, tmp_executor):
+        grid = figures.figure7(tmp_executor, workloads=("HIST", "RAY"))
         assert "best-static" in grid.policies
         assert grid.speedups["HIST"]["best-static"] >= \
             grid.speedups["HIST"]["present-near"]
         assert grid.geomeans["best-static"]["LMH"] >= 1.0
         assert "Figure 7" in grid.render()
 
-    def test_figure8_small_subset(self, tmp_runner):
-        grid = figures.figure8(tmp_runner, workloads=("HIST", "RAY"))
+    def test_figure8_small_subset(self, tmp_executor):
+        grid = figures.figure8(tmp_executor, workloads=("HIST", "RAY"))
         assert set(grid.policies) == {"dynamo-metric", "dynamo-reuse-un",
                                       "dynamo-reuse-pn", "best-static"}
         for wl in ("HIST", "RAY"):
@@ -91,9 +91,8 @@ class TestFigureDrivers:
         assert set(figures.FIGURES) == {"1", "6", "7", "8", "9", "10", "11",
                                         "energy", "blame", "txn"}
 
-    def test_txn_study_small(self, tmp_runner):
-        data = figures.txn_study(tmp_runner,
-                                 inputs=("zipf-0.5", "zipf-1.4"),
+    def test_txn_study_small(self):
+        data = figures.txn_study(inputs=("zipf-0.5", "zipf-1.4"),
                                  policies=("all-near", "dynamo-reuse-pn"))
         assert data.xs == [0.5, 1.4]
         for policy in ("all-near", "dynamo-reuse-pn"):
@@ -105,7 +104,7 @@ class TestFigureDrivers:
             assert p99[-1] > p99[0]
             assert throughput[-1] < throughput[0]
 
-    def test_energy_study_small(self, tmp_runner):
-        data = figures.energy_study(tmp_runner, workloads=("HIST", "RAY"))
+    def test_energy_study_small(self, tmp_executor):
+        data = figures.energy_study(tmp_executor, workloads=("HIST", "RAY"))
         assert "unique-near/total" in data.series
         assert len(data.xs) == 3

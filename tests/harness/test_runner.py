@@ -1,11 +1,12 @@
-"""Tests for the experiment runner and its cache."""
+"""Tests for planning cells and running them through the cached Executor."""
 
 import os
 
 import pytest
 
-from repro.harness.runner import (Runner, RunSpec, best_static_speedups,
-                                  speedups_vs_baseline)
+from repro.harness.executor import Executor, ResultStore, RunSpec, make_spec
+from repro.harness.figures import (best_static_speedups, speedups_vs_baseline,
+                                   sweep)
 from repro.sim.config import DEFAULT_CONFIG
 
 SMALL = dict(threads=4, scale=0.15)
@@ -34,15 +35,16 @@ class TestRunSpec:
 
 
 class TestRunner:
-    def test_run_produces_result(self, tmp_runner):
-        result = tmp_runner.run("RAY", "all-near", **SMALL)
+    def test_run_produces_result(self, tmp_executor):
+        result = tmp_executor.run(make_spec("RAY", "all-near", **SMALL))
         assert result.cycles > 0
         assert result.metadata["workload"] == "RAY"
         assert result.energy  # energy attached
 
-    def test_cache_roundtrip_identical(self, tmp_runner):
-        first = tmp_runner.run("RAY", "all-near", **SMALL)
-        second = tmp_runner.run("RAY", "all-near", **SMALL)
+    def test_cache_roundtrip_identical(self, tmp_executor):
+        spec = make_spec("RAY", "all-near", **SMALL)
+        first = tmp_executor.run(spec)
+        second = tmp_executor.run(spec)
         assert second.cycles == first.cycles
         assert second.stats.as_dict() == first.stats.as_dict()
         assert second.traffic.by_type() == first.traffic.by_type()
@@ -50,30 +52,32 @@ class TestRunner:
         assert second.apki == first.apki
 
     def test_cache_files_created(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path))
-        runner.run("RAY", "all-near", **SMALL)
+        executor = Executor(ResultStore(str(tmp_path)))
+        executor.run(make_spec("RAY", "all-near", **SMALL))
         assert any(name.endswith(".json")
                    for _root, _dirs, names in os.walk(tmp_path)
                    for name in names)
 
     def test_no_cache_mode_writes_nothing(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path), use_cache=False)
-        runner.run("RAY", "all-near", **SMALL)
+        executor = Executor(ResultStore(str(tmp_path), enabled=False))
+        executor.run(make_spec("RAY", "all-near", **SMALL))
         assert not os.path.exists(tmp_path) or not os.listdir(tmp_path)
 
-    def test_threads_validated_against_config(self, tmp_runner):
+    def test_threads_validated_against_config(self):
         with pytest.raises(ValueError):
-            tmp_runner.run("RAY", "all-near", threads=1000)
+            make_spec("RAY", "all-near", threads=1000)
 
-    def test_sweep_shape(self, tmp_runner):
-        grid = tmp_runner.sweep(["RAY"], ["all-near", "unique-near"], **SMALL)
+    def test_sweep_shape(self, tmp_executor):
+        grid = sweep(tmp_executor, ["RAY"], ["all-near", "unique-near"],
+                     **SMALL)
         assert set(grid) == {"RAY"}
         assert set(grid["RAY"]) == {"all-near", "unique-near"}
 
 
 class TestSpeedups:
-    def test_speedups_vs_baseline(self, tmp_runner):
-        grid = tmp_runner.sweep(["RAY"], ["all-near", "unique-near"], **SMALL)
+    def test_speedups_vs_baseline(self, tmp_executor):
+        grid = sweep(tmp_executor, ["RAY"], ["all-near", "unique-near"],
+                     **SMALL)
         sp = speedups_vs_baseline(grid)
         assert sp["RAY"]["all-near"] == 1.0
         assert sp["RAY"]["unique-near"] == pytest.approx(

@@ -61,24 +61,30 @@ def _small_spec(policy, workload="HIST"):
 # --- zero cost when unsubscribed --------------------------------------
 
 
+def _any_gate(bus):
+    """True iff some kind's ``wants_<kind>`` gate is open."""
+    return any(getattr(bus, "wants_" + kind.name.lower())
+               for kind in EventKind)
+
+
 class TestStampGate:
     def test_stamps_off_by_default(self):
         assert EventBus().stamps is False
 
     def test_plain_event_sinks_do_not_enable_stamps(self):
-        """TraceSink / CollectorSink make the bus active, not stamped."""
+        """TraceSink / CollectorSink open the per-kind gates, not stamps."""
         bus = EventBus()
         bus.subscribe(TraceSink(io.StringIO()))
         bus.subscribe(CollectorSink())
-        assert bus.active is True
+        assert _any_gate(bus) is True
         assert bus.stamps is False
 
     def test_stamp_sinks_enable_both_gates(self):
         bus = EventBus()
         sink = bus.subscribe(BlameSink())
-        assert bus.active is True and bus.stamps is True
+        assert _any_gate(bus) is True and bus.stamps is True
         bus.unsubscribe(sink)
-        assert bus.active is False and bus.stamps is False
+        assert _any_gate(bus) is False and bus.stamps is False
 
     def test_unstamped_run_emits_no_stamp_events(self):
         spec = _small_spec("all-near")
@@ -416,7 +422,7 @@ def test_zero_cost_marker_ops():
 
 
 class _FinalizeProbe(Sink):
-    wants_events = False
+    kinds = frozenset()
 
     def __init__(self):
         self.finalized = False
@@ -428,4 +434,4 @@ class _FinalizeProbe(Sink):
 def test_finalize_only_sinks_still_skip_dispatch():
     bus = EventBus()
     bus.subscribe(_FinalizeProbe())
-    assert bus.active is False and bus.stamps is False
+    assert _any_gate(bus) is False and bus.stamps is False

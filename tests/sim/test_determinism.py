@@ -3,7 +3,7 @@
 The golden corpus pins behaviour *across revisions*; these tests pin it
 *within* a revision: the same seeded spec must produce an identical
 ``SimulationResult`` when re-run in-process, when fanned out through
-``ParallelExecutor`` worker processes, and when run in two separate
+``Executor`` worker processes, and when run in two separate
 fresh interpreters (which catches accidental dependence on dict order,
 ``id()``, ``hash()`` randomization, or module import order).
 """
@@ -13,9 +13,8 @@ import os
 import subprocess
 import sys
 
-from repro.harness.executor import (ParallelExecutor, ResultStore,
-                                    SerialExecutor, execute_spec, make_spec,
-                                    serialize_result)
+from repro.harness.executor import (Executor, ResultStore, execute_spec,
+                                    make_spec, serialize_result)
 
 SPEC_ARGS = dict(threads=4, scale=0.25, seed=0)
 
@@ -42,9 +41,8 @@ def test_serial_vs_parallel_executor_identical():
     specs = [make_spec("COUNTER", "all-near", **SPEC_ARGS),
              make_spec("HIST", "dynamo-reuse-pn", **SPEC_ARGS),
              make_spec("SPMV", "present-near", **SPEC_ARGS)]
-    serial = SerialExecutor(ResultStore(enabled=False)).run_many(specs)
-    parallel = ParallelExecutor(
-        jobs=2, store=ResultStore(enabled=False)).run_many(specs)
+    serial = Executor(ResultStore(enabled=False), jobs=1).run_many(specs)
+    parallel = Executor(ResultStore(enabled=False), jobs=2).run_many(specs)
     for spec, a, b in zip(specs, serial, parallel):
         assert _canonical(a) == _canonical(b), (
             f"{spec.workload}/{spec.policy} differs between serial and "

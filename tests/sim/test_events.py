@@ -62,16 +62,22 @@ def run_with_sinks(policy="all-near", sinks=(), seed=3):
 # --- bus mechanics ----------------------------------------------------
 
 
+def _any_gate(bus):
+    """True iff some kind's ``wants_<kind>`` gate is open."""
+    return any(getattr(bus, "wants_" + kind.name.lower())
+               for kind in EventKind)
+
+
 def test_stock_sinks_do_not_activate_dispatch():
     bus = EventBus()
-    assert not bus.active
+    assert not _any_gate(bus)
     bus.subscribe(StatsSink())
     bus.subscribe(TrafficSink())
-    assert not bus.active, "counter-only sinks must keep the fast path"
+    assert not _any_gate(bus), "counter-only sinks must keep the fast path"
     collector = bus.subscribe(CollectorSink())
-    assert bus.active
+    assert _any_gate(bus)
     bus.unsubscribe(collector)
-    assert not bus.active
+    assert not _any_gate(bus)
 
 
 def test_every_kind_has_a_declared_gate():

@@ -56,6 +56,21 @@ def test_run_stamps_without_trace_rejected(capsys, tmp_path, monkeypatch):
     assert "policy=" not in captured.out
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["figure", "fig6", "--jobs", "0"], "--jobs"),
+    (["golden", "--jobs", "0"], "--jobs"),
+    (["bench", "--jobs", "-1", "--no-append"], "--jobs"),
+    (["golden", "--jobs", "two"], "--jobs"),
+    (["serve", "--workers", "0"], "--workers"),
+])
+def test_non_positive_jobs_is_a_usage_error(argv, flag, capsys):
+    """A bad worker count exits 2 with usage before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         main(["run", "NOPE"])
