@@ -55,6 +55,12 @@ class SanitizerSink(Sink):
     ``LINE_HANDOFF`` is deliberately not checked: it is emitted at
     protocol-dependent points relative to the directory update, so a
     postcondition on it would encode emission order, not coherence.
+
+    Not batched: each postcondition reads the live caches and directory
+    at the moment its record is emitted, before the rest of the
+    transaction moves them on, so the bus flushes after every record
+    while this sink is subscribed and the sink takes each one as an
+    :class:`~repro.sim.events.Event`.
     """
 
     kinds = frozenset({

@@ -6,9 +6,11 @@ Commands:
 * ``repro run WORKLOAD [--policy P] [--threads N] [--scale S] [--input I]
   [--trace FILE]`` — simulate one cell and print its summary;
   ``--trace`` writes a per-event JSONL trace (bypasses the cache).
-* ``repro figure {1,6,7,8,9,10,11,energy} [--jobs N]`` — regenerate a
-  paper figure ("fig7"/"figure7" also accepted); ``--jobs`` fans cache
-  misses out over worker processes (default: ``$REPRO_JOBS`` or serial).
+* ``repro figure {1,6,7,8,9,10,11,energy,blame,txn} [--jobs N]`` —
+  regenerate a paper figure ("fig7"/"figure7" also accepted); ``--jobs``
+  fans cache misses, and the uncached cells of the blame and txn
+  studies, out over worker processes (default: ``$REPRO_JOBS`` or
+  serial).
 * ``repro table {1,2,3,4}`` — print a paper table.
 * ``repro cost [--entries N] [--ways W] [--counter-bits B]`` — AMT
   hardware cost (paper Section VI-G).
@@ -145,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="figure name; 'fig7' and 'figure7' work too")
     fig.add_argument("--no-cache", action="store_true")
     fig.add_argument("--jobs", type=_positive_int, default=None,
-                     help="worker processes for cache misses "
+                     help="worker processes for cache misses and for "
+                          "the uncached blame/txn cells "
                           "(default: $REPRO_JOBS or 1)")
 
     tab = sub.add_parser("table", help="print a paper table")
@@ -378,10 +381,12 @@ def _executor(no_cache: bool, jobs: Optional[int] = None) -> Executor:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     driver = FIGURES[args.which]
-    if args.which in ("1", "blame", "txn"):
-        # Fig. 1's microbenchmarks and the instrumented blame and txn
-        # studies simulate uncached, so they take no executor.
+    if args.which == "1":
+        # Fig. 1's microbenchmarks simulate uncached, in this process.
         data = driver()
+    elif args.which in ("blame", "txn"):
+        # The instrumented studies simulate uncached on worker processes.
+        data = driver(jobs=args.jobs or default_jobs())
     else:
         data = driver(executor=_executor(args.no_cache, args.jobs))
     print(data.render())

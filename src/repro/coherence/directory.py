@@ -26,11 +26,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.coherence.cache import CacheLine, SetAssocCache
 from repro.coherence.states import CacheState
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind, shape
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim.config import SystemConfig
     from repro.sim.events import EventBus
+
+#: LLC_ACCESS record shape (see repro.sim.events).
+_LLC_ACCESS = shape(EventKind.LLC_ACCESS)
 
 
 class DirEntry:
@@ -121,9 +124,7 @@ class HomeNode:
             self.llc_misses += 1
         bus = self.bus
         if bus is not None and bus.wants_llc_access:
-            bus.emit(Event(EventKind.LLC_ACCESS, bus.now,
-                           block=block,
-                           info={"slice": self.slice_id, "hit": hit}))
+            bus.append((_LLC_ACCESS, bus.now, -1, block, hit, self.slice_id))
         return hit
 
     def llc_fill(self, block: int) -> Optional[CacheLine]:

@@ -24,11 +24,14 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.coherence.cache import CacheLine, SetAssocCache
 from repro.coherence.states import CacheState
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind, shape
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim.config import SystemConfig
     from repro.sim.events import EventBus
+
+#: L1_EVICTION record shape (see repro.sim.events).
+_L1_EVICTION = shape(EventKind.L1_EVICTION)
 
 
 @dataclass(slots=True)
@@ -145,12 +148,10 @@ class PrivateCacheHierarchy:
         bus = self.bus
         if bus is not None and bus.wants_l1_eviction:
             for dep in result.departures:
-                bus.emit(Event(
-                    EventKind.L1_EVICTION, bus.now, self.core_id,
-                    dep.line.block,
-                    info={"left_hierarchy": dep.left_hierarchy,
-                          "fetched_by_amo": dep.line.fetched_by_amo,
-                          "reused": dep.line.reused}))
+                line = dep.line
+                bus.append((_L1_EVICTION, bus.now, self.core_id, line.block,
+                            line.fetched_by_amo, dep.left_hierarchy,
+                            line.reused))
         return result
 
     def promote(self, block: int, fetched_by_amo: bool = False) -> InsertResult:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.registry import STATIC_POLICY_NAMES
-from repro.harness.executor import Executor, make_spec
+from repro.harness.executor import Executor, RunSpec, fan_out, make_spec
 from repro.harness.report import (apki_classes, format_series, format_table,
                                   set_geomeans)
 from repro.sim.config import DEFAULT_CONFIG, SystemConfig
@@ -414,7 +414,17 @@ def energy_study(executor: Optional[Executor] = None,
 BLAME_WORKLOADS = ("HIST", "SPMV", "RSOR", "GME")
 
 
-def blame_study(workloads: Sequence[str] = BLAME_WORKLOADS) -> FigureData:
+def _fan_out_ordered(fn, items: Sequence, jobs: int) -> list:
+    """``[fn(item) for item in items]`` through
+    :func:`~repro.harness.executor.fan_out` (``jobs`` worker processes)."""
+    results: list = [None] * len(items)
+    for i, result in fan_out(fn, items, jobs):
+        results[i] = result
+    return results
+
+
+def blame_study(workloads: Sequence[str] = BLAME_WORKLOADS,
+                jobs: int = 1) -> FigureData:
     """Cycle-blame attribution: where does DynAMO's speed-up come from?
 
     For each workload, runs All Near vs DynAMO-Reuse-PN with the
@@ -422,18 +432,21 @@ def blame_study(workloads: Sequence[str] = BLAME_WORKLOADS) -> FigureData:
     touch the cache) and reports the ``repro diff`` delta attribution:
     the speed-up, the fraction of the cycle delta attributed to *named*
     blame categories (the acceptance bar is >= 90%), and the category
-    explaining most of the delta.  Results are not cached.
+    explaining most of the delta.  Results are not cached; ``jobs``
+    worker processes run the instrumented cells.
     """
-    from repro.obs.attribution.report import diff_payload, diff_specs
+    from repro.obs.attribution.report import diff_payload, why_spec
 
     xs, speedup, attributed = [], [], []
     top_cats = []
     # The golden-corpus grid shape (t8, half scale) keeps the uncached
     # instrumented runs CI-sized.
-    for wl in workloads:
-        spec_a = make_spec(wl, BASELINE, threads=8, scale=0.5)
-        spec_b = make_spec(wl, "dynamo-reuse-pn", threads=8, scale=0.5)
-        res_a, res_b = diff_specs(spec_a, spec_b)
+    specs = [make_spec(wl, pol, threads=8, scale=0.5)
+             for wl in workloads for pol in (BASELINE, "dynamo-reuse-pn")]
+    results = _fan_out_ordered(why_spec, specs, jobs)
+    for i, wl in enumerate(workloads):
+        spec_a, spec_b = specs[2 * i], specs[2 * i + 1]
+        res_a, res_b = results[2 * i], results[2 * i + 1]
         payload = diff_payload(res_a, spec_a, res_b, spec_b)
         xs.append(wl)
         speedup.append(res_a.cycles / res_b.cycles)
@@ -458,42 +471,50 @@ TXN_FIGURE_INPUTS = ("zipf-0.5", "zipf-0.8", "zipf-1.1", "zipf-1.4")
 TXN_FIGURE_POLICIES = (BASELINE, "present-near", "dynamo-reuse-pn")
 
 
+def _txn_cell(spec: RunSpec) -> tuple:
+    """One txn-study cell under a HistogramSink: ``(committed txns per
+    kilocycle, p99 lock-acquire cycles)``."""
+    from repro.harness.executor import execute_spec
+    from repro.obs.histogram import HistogramSink, histograms_from_metadata
+    from repro.workloads import make_workload
+
+    result = execute_spec(spec, extra_sinks=(HistogramSink(),))
+    wl = make_workload(spec.workload, spec.threads, scale=spec.scale,
+                       input_name=spec.input_name)
+    lock = histograms_from_metadata(result.metadata).get("lock_acquire")
+    return (result.throughput_per_kilocycle(wl.total_txns),
+            lock.percentile(99) if lock is not None else 0.0)
+
+
 def txn_study(workload: str = "KVS",
               inputs: Sequence[str] = TXN_FIGURE_INPUTS,
-              policies: Sequence[str] = TXN_FIGURE_POLICIES) -> FigureData:
+              policies: Sequence[str] = TXN_FIGURE_POLICIES,
+              jobs: int = 1) -> FigureData:
     """Transactional sweep: throughput + p99 lock-acquire vs Zipf alpha.
 
     Runs the key-value workload across its Zipf-exponent inputs under
     each policy with a :class:`~repro.obs.histogram.HistogramSink`
-    attached (instrumented runs never touch the cache) and reports two
-    series per policy: committed-transaction throughput per kilocycle
-    and the p99 lock-acquisition latency.  Steeper exponents pile the
-    lock traffic onto the hottest keys, which is where placement policy
-    moves the tail.
+    attached (instrumented runs never touch the cache; ``jobs`` worker
+    processes run them) and reports two series per policy:
+    committed-transaction throughput per kilocycle and the p99
+    lock-acquisition latency.  Steeper exponents pile the lock traffic
+    onto the hottest keys, which is where placement policy moves the
+    tail.
     """
-    from repro.harness.executor import execute_spec
-    from repro.obs.histogram import HistogramSink, histograms_from_metadata
-    from repro.workloads import make_workload
     from repro.workloads.txn import alpha_from_input
 
     xs = [alpha_from_input(inp) for inp in inputs]
     series: Dict[str, List[float]] = {}
     # The golden-corpus grid shape (t8, half scale) keeps the uncached
     # instrumented runs CI-sized.
+    specs = [make_spec(workload, policy, threads=8, scale=0.5,
+                       input_name=inp)
+             for policy in policies for inp in inputs]
+    cells = iter(_fan_out_ordered(_txn_cell, specs, jobs))
     for policy in policies:
-        throughput, p99 = [], []
-        for inp in inputs:
-            spec = make_spec(workload, policy, threads=8, scale=0.5,
-                             input_name=inp)
-            result = execute_spec(spec, extra_sinks=(HistogramSink(),))
-            wl = make_workload(workload, 8, scale=0.5, input_name=inp)
-            throughput.append(
-                result.throughput_per_kilocycle(wl.total_txns))
-            hists = histograms_from_metadata(result.metadata)
-            lock = hists.get("lock_acquire")
-            p99.append(lock.percentile(99) if lock is not None else 0.0)
-        series[f"txn-throughput/{policy}"] = throughput
-        series[f"p99-lock-acquire/{policy}"] = p99
+        throughput, p99 = zip(*(next(cells) for _ in inputs))
+        series[f"txn-throughput/{policy}"] = list(throughput)
+        series[f"p99-lock-acquire/{policy}"] = list(p99)
     return FigureData(
         name="Txn study: Zipf skew vs throughput and lock tail latency",
         xlabel="zipf alpha", xs=xs, series=series,

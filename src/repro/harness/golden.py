@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.executor import (RunSpec, execute_spec, fan_out,
                                     make_spec, serialize_result)
-from repro.sim.events import Event, Sink, trace_line
+from repro.sim.events import Sink
 from repro.sim.results import SimulationResult
 from repro.workloads import MICRO_SWEEP_CODES, TABLE_III_CODES, TXN_CODES
 
@@ -69,19 +69,23 @@ def golden_codes() -> List[str]:
 class TraceDigestSink(Sink):
     """Hashes the event stream exactly as ``TraceSink`` would write it.
 
-    Subscribing this sink activates per-event dispatch, so the digest
-    covers the full instrumentation stream without touching disk.  The
-    hashed bytes are line-for-line identical to a ``--trace`` JSONL
-    file, which :mod:`tests.golden` verifies.
+    Subscribing this sink opens every kind's gate, so the digest covers
+    the full instrumentation stream without touching disk: each block
+    of records is rendered through the shapes' templates and hashed
+    with one update.  The hashed bytes are line-for-line identical to a
+    ``--trace`` JSONL file, which :mod:`tests.golden` verifies.
     """
+
+    batched = True
 
     def __init__(self) -> None:
         self._sha = hashlib.sha256()
         self.events = 0
 
-    def on_event(self, event: Event) -> None:
-        self._sha.update(trace_line(event).encode())
-        self.events += 1
+    def on_records(self, records: List[tuple]) -> None:
+        self._sha.update(
+            "".join([rec[0].render(rec) for rec in records]).encode())
+        self.events += len(records)
 
     def hexdigest(self) -> str:
         return self._sha.hexdigest()

@@ -2,8 +2,9 @@
 
 Both sinks set ``wants_stamps`` — subscribing either one flips the
 machine onto its instrumented (timing-identical) execution path, so the
-OP_RETIRE / SYNC / audit-annotated AMO events they consume exist at all;
-their ``kinds`` keep every other event kind unbuilt.  Both write their
+OP_RETIRE / SYNC / audit-annotated AMO records they consume exist at
+all; their ``kinds`` keep every other kind unrecorded.  Both fold
+blocks of records (layouts in :mod:`repro.sim.events`) and write their
 findings into ``result.metadata`` at finalize time, so downstream code
 (``repro why``, tests) works from a plain
 :class:`~repro.sim.results.SimulationResult`.
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.attribution.categories import merge_into
 from repro.obs.attribution.critical import extract_critical_path
-from repro.sim.events import Event, EventKind, Sink
+from repro.sim.events import EventKind, Sink
 
 #: metadata payload schema versions (bumped on shape changes).
 BLAME_SCHEMA = 1
@@ -37,6 +38,7 @@ class BlameSink(Sink):
     """
 
     wants_stamps = True
+    batched = True
     kinds = frozenset({EventKind.OP_RETIRE, EventKind.SYNC,
                        EventKind.LINE_HANDOFF})
 
@@ -46,7 +48,6 @@ class BlameSink(Sink):
         #: are their sums, taken once when the payload is built.
         self.block_gate: Dict[int, Dict[str, int]] = {}
         self.block_hidden: Dict[int, Dict[str, int]] = {}
-        self.ops = 0
         #: per-core retired-op records ``(start, gate_lat, gate_bd)``,
         #: appended in execution order (starts are monotonic per core).
         self.core_ops: Dict[int, List[Tuple[int, int, Dict[str, int]]]] = {}
@@ -55,43 +56,44 @@ class BlameSink(Sink):
         self.handoffs: Dict[int, int] = {}
         self.handoff_cores: Dict[int, set] = {}
 
-    def on_event(self, event: Event) -> None:
-        kind = event.kind
-        if kind is EventKind.OP_RETIRE:
-            info = event.info
-            bd: Dict[str, int] = info["bd"]  # type: ignore[index]
-            self.ops += 1
-            block = event.block
-            totals = self.block_gate.get(block)
-            if totals is None:
-                totals = self.block_gate[block] = {}
-            for cat, cycles in bd.items():
-                totals[cat] = totals.get(cat, 0) + cycles
-            # A WRITE carries its drain, an AMO_STORE its execution chain.
-            hidden = info.get("exec_bd") or info.get("drain_bd")
-            if hidden:
-                totals = self.block_hidden.get(block)
+    def on_records(self, records: List[tuple]) -> None:
+        block_gate = self.block_gate
+        block_hidden = self.block_hidden
+        core_ops = self.core_ops
+        for rec in records:
+            kind = rec[0].kind
+            if kind is EventKind.OP_RETIRE:
+                _shape, cycle, core, block, bd, drain, hidden, lat = rec
+                totals = block_gate.get(block)
                 if totals is None:
-                    totals = self.block_hidden[block] = {}
-                for cat, cycles in hidden.items():
+                    totals = block_gate[block] = {}
+                for cat, cycles in bd.items():
                     totals[cat] = totals.get(cat, 0) + cycles
-            ops = self.core_ops.get(event.core)
-            if ops is None:
-                ops = self.core_ops[event.core] = []
-            ops.append((event.cycle, info["lat"], bd))  # type: ignore
-        elif kind is EventKind.SYNC:
-            info = event.info or {}
-            self.core_sync.setdefault(event.core, []).append(
-                (event.cycle, info["what"], info["addr"]))  # type: ignore
-        else:  # LINE_HANDOFF
-            block = event.block
-            self.handoffs[block] = self.handoffs.get(block, 0) + 1
-            cores = self.handoff_cores.setdefault(block, set())
-            info = event.info or {}
-            for key in ("from", "to"):
-                who = info.get(key, -1)
-                if isinstance(who, int) and who >= 0:
-                    cores.add(who)
+                # A WRITE carries its drain, an AMO_STORE its execution
+                # chain.
+                hidden = hidden or drain
+                if hidden:
+                    totals = block_hidden.get(block)
+                    if totals is None:
+                        totals = block_hidden[block] = {}
+                    for cat, cycles in hidden.items():
+                        totals[cat] = totals.get(cat, 0) + cycles
+                ops = core_ops.get(core)
+                if ops is None:
+                    ops = core_ops[core] = []
+                ops.append((cycle, lat, bd))
+            elif kind is EventKind.SYNC:
+                self.core_sync.setdefault(rec[2], []).append(
+                    (rec[1], rec[0].consts["what"], rec[4]))
+            else:  # LINE_HANDOFF: (..., from, to)
+                _shape, _cycle, _core, block, source, target = rec
+                self.handoffs[block] = self.handoffs.get(block, 0) + 1
+                cores = self.handoff_cores.get(block)
+                if cores is None:
+                    cores = self.handoff_cores[block] = set()
+                for who in (source, target):
+                    if who is not None and who >= 0:
+                        cores.add(who)
 
     def blame_payload(self, per_core_finish: List[int]) -> Dict[str, object]:
         """Build the JSON-ready blame payload (no result needed)."""
@@ -118,7 +120,7 @@ class BlameSink(Sink):
         } for block, bd in blocks[:self.top_blocks]]
         return {
             "schema": BLAME_SCHEMA,
-            "ops": self.ops,
+            "ops": sum(map(len, self.core_ops.values())),
             "gate_totals": dict(sorted(gate_totals.items())),
             "hidden_totals": dict(sorted(hidden_totals.items())),
             "critical_path": path,
@@ -145,7 +147,7 @@ class AuditSink(Sink):
     """Records every ``decide()`` outcome and scores it after the fact.
 
     Each decided AMO event (near or far) carries the policy's
-    side-effect-free pre-decide AMT snapshot (``info["amt"]``) and its
+    side-effect-free pre-decide AMT snapshot (its ``amt`` field) and its
     realized latency.  At finalize time the sink computes, per block,
     the mean realized latency of each placement, and scores every
     decision against the *opposite* placement's mean on the same block
@@ -158,6 +160,7 @@ class AuditSink(Sink):
     """
 
     wants_stamps = True
+    batched = True
     kinds = frozenset({EventKind.AMO_NEAR, EventKind.AMO_FAR})
 
     def __init__(self) -> None:
@@ -165,17 +168,17 @@ class AuditSink(Sink):
         self.decisions: List[Tuple[int, bool, str, int]] = []
         self.unique_fast = 0
 
-    def on_event(self, event: Event) -> None:
-        info = event.info or {}
-        if not info.get("decided"):
-            self.unique_fast += 1
-            return
-        amt = info.get("amt")
-        if isinstance(amt, list):  # trace round-trips turn tuples to lists
-            amt = tuple(amt)
-        self.decisions.append((
-            event.block, event.kind is EventKind.AMO_NEAR,
-            _amt_group(amt), info["latency"]))  # type: ignore[arg-type]
+    def on_records(self, records: List[tuple]) -> None:
+        decisions = self.decisions
+        for rec_shape, _cycle, _core, block, amt, _cas, decided, lat \
+                in records:
+            if not decided:
+                self.unique_fast += 1
+                continue
+            if isinstance(amt, list):  # trace round-trips make lists
+                amt = tuple(amt)
+            decisions.append((block, rec_shape.kind is EventKind.AMO_NEAR,
+                              _amt_group(amt), lat))
 
     def audit_payload(self) -> Dict[str, object]:
         # Per-block realized latency means for each placement.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.events import Event, EventKind, Sink
+from repro.sim.events import EventKind, Sink
 
 #: Bucket count: bucket ``i`` holds values in ``[2**(i-1), 2**i)``, with
 #: bucket 0 holding values <= 0; 48 buckets cover any latency a
@@ -159,6 +159,7 @@ class HistogramSink(Sink):
     leaves simulated timing and every counter bit-identical.
     """
 
+    batched = True
     kinds = frozenset({EventKind.AMO_NEAR, EventKind.AMO_FAR,
                        EventKind.MESSAGE})
 
@@ -173,34 +174,32 @@ class HistogramSink(Sink):
         # lock-acquire attempt.
         self._acquiring: Dict[Tuple[int, int], int] = {}
 
-    def on_event(self, event: Event) -> None:
-        kind = event.kind
-        if kind is not EventKind.MESSAGE:  # AMO_NEAR or AMO_FAR
-            info = event.info or {}
-            latency = info.get("latency")
+    def on_records(self, records: List[tuple]) -> None:
+        hists = self.histograms
+        near, far = hists["amo_near"].record, hists["amo_far"].record
+        lock, queue = hists["lock_acquire"].record, hists["noc_queue"].record
+        for rec in records:
+            kind = rec[0].kind
+            if kind is EventKind.MESSAGE:  # (..., dequeue, enqueue, hops)
+                enqueue = rec[5]
+                if enqueue is not None:
+                    queue(rec[4] - enqueue)
+                continue
+            # AMO_NEAR or AMO_FAR: (..., amt, cas_ok, decided, latency)
+            latency = rec[7]
             if latency is None:
-                return
-            which = "amo_near" if kind is EventKind.AMO_NEAR else "amo_far"
-            self.histograms[which].record(latency)
-            cas_ok = info.get("cas_ok")
+                continue
+            (near if kind is EventKind.AMO_NEAR else far)(latency)
+            cas_ok = rec[5]
             if cas_ok is None:
-                return
-            key = (event.core, event.block)
+                continue
+            key = (rec[2], rec[3])
             if cas_ok:
                 started = self._acquiring.pop(key, None)
-                if started is None:
-                    acquire_latency = latency
-                else:
-                    acquire_latency = event.cycle + latency - started
-                self.histograms["lock_acquire"].record(acquire_latency)
+                lock(latency if started is None
+                     else rec[1] + latency - started)
             else:
-                self._acquiring.setdefault(key, event.cycle)
-        else:
-            info = event.info or {}
-            enqueue = info.get("enqueue")
-            if enqueue is not None:
-                self.histograms["noc_queue"].record(
-                    info["dequeue"] - enqueue)  # type: ignore[operator]
+                self._acquiring.setdefault(key, rec[1])
 
     def finalize(self, result) -> None:
         """Serialize the non-empty histograms into ``result.metadata``."""

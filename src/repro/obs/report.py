@@ -26,7 +26,7 @@ from repro.obs.histogram import (HistogramSink, Log2Histogram,
                                  histograms_from_metadata)
 from repro.obs.timeseries import (DEFAULT_INTERVAL, IntervalSink, deltas,
                                   intervals_from_metadata)
-from repro.sim.events import Event, EventKind, Sink
+from repro.sim.events import EventKind, Sink
 from repro.sim.results import SimulationResult
 
 #: Glyph ramp for the interval time-series sparklines.
@@ -44,6 +44,7 @@ _HIST_LABELS = [
 class ContentionSink(Sink):
     """Counts coherence churn per cache block (top-contended lines)."""
 
+    batched = True
     kinds = frozenset({EventKind.INVALIDATION, EventKind.AMO_NEAR,
                        EventKind.AMO_FAR})
 
@@ -52,14 +53,15 @@ class ContentionSink(Sink):
         self.far_amos: Counter = Counter()
         self.cores_touching: Dict[int, set] = {}
 
-    def on_event(self, event: Event) -> None:
-        kind = event.kind
-        if kind is EventKind.INVALIDATION:
-            self.invalidations[event.block] += 1
-        elif kind is EventKind.AMO_FAR:
-            self.far_amos[event.block] += 1
-        if event.core >= 0 and event.block >= 0:
-            self.cores_touching.setdefault(event.block, set()).add(event.core)
+    def on_records(self, records: List[tuple]) -> None:
+        for rec in records:
+            kind, core, block = rec[0].kind, rec[2], rec[3]
+            if kind is EventKind.INVALIDATION:
+                self.invalidations[block] += 1
+            elif kind is EventKind.AMO_FAR:
+                self.far_amos[block] += 1
+            if core >= 0 and block >= 0:
+                self.cores_touching.setdefault(block, set()).add(core)
 
     def top_blocks(self, n: int) -> List[Tuple[int, int, int, int]]:
         """``(block, invalidations, far_amos, cores)`` rows, worst first."""

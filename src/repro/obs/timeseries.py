@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.sim.events import Event, Sink
+from repro.sim.events import Sink
 
 #: Default sampling period in cycles.
 DEFAULT_INTERVAL = 2000
@@ -52,6 +52,12 @@ class IntervalSink(Sink):
       per-policy AMT confidence distribution, summed over cores: resident
       entries, entries predicting near (confidence > 0), and the total
       confidence mass.  All zero for policies without an AMT.
+
+    Not batched: a sample reads the machine's counters as they stand
+    when the first record past a boundary is emitted, so the bus hands
+    this sink each record at once (it flushes after every record while
+    the sink is subscribed).  From a buffered block the sample would
+    read counters that had already run ahead of the record.
     """
 
     def __init__(self, interval: int = DEFAULT_INTERVAL) -> None:
@@ -69,13 +75,15 @@ class IntervalSink(Sink):
     def bind_machine(self, machine) -> None:
         self._machine = machine
 
-    def on_event(self, event: Event) -> None:
-        if event.cycle >= self._next_boundary:
-            # Catch up over event-free gaps without emitting a duplicate
-            # sample for every skipped boundary.
-            while self._next_boundary <= event.cycle:
-                self._next_boundary += self.interval
-            self._sample(self._next_boundary - self.interval)
+    def on_records(self, records: List[tuple]) -> None:
+        for rec in records:
+            cycle = rec[1]
+            if cycle >= self._next_boundary:
+                # Catch up over event-free gaps without emitting a
+                # duplicate sample for every skipped boundary.
+                while self._next_boundary <= cycle:
+                    self._next_boundary += self.interval
+                self._sample(self._next_boundary - self.interval)
 
     def _sample(self, cycle: int) -> None:
         machine = self._machine

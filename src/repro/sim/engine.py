@@ -76,11 +76,11 @@ def run(machine: Machine, programs: Iterable[Program],
     amo_h = machine._amo
     write_h = machine._write
     bus = machine.bus
-    if bus.stamps:
-        # Attribution sinks subscribed: bind the stamped wrapper, which
-        # runs the same handlers (identical timing) but additionally
-        # collects per-op cycle breakdowns and emits OP_RETIRE events.
-        read_h = amo_h = write_h = machine._execute_stamped
+    if bus.observed:
+        # Sinks subscribed: bind the observed wrapper, which runs the
+        # same handlers (identical timing), records OP_RETIRE when a
+        # sink reads it and hands full record blocks to the sinks.
+        read_h = amo_h = write_h = machine._execute_observed
     # sys.maxsize keeps the timeout compare a plain int compare when no
     # budget is set (a simulation cannot reach 2**63 cycles).
     limit = max_cycles if max_cycles is not None else sys.maxsize

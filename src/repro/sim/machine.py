@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.coherence.directory import DirectoryState, HomeNode
+from repro.coherence.directory import DirEntry, DirectoryState, HomeNode
 from repro.coherence.l1 import Departure, PrivateCacheHierarchy
 from repro.coherence.states import CacheState
 from repro.core.policy import Placement, PolicyStats
@@ -41,30 +41,60 @@ from repro.mem.hbm import HbmMemory
 from repro.noc.mesh import Mesh
 from repro.noc.message import MsgType
 from repro.sim.config import SystemConfig
-from repro.sim.events import Event, EventBus, EventKind
+from repro.sim.events import EventBus, EventKind, shape
 
-# Event payloads name enum members through ``_name_``, the plain attribute
-# behind ``.name`` (whose descriptor runs in Python on every access).
-#
 # Message-class members and their flit sizes, bound as module constants
 # for the inline traffic accounting in the handlers below (the inline
 # form is TrafficMeter.record with count=1).  The Machine is the only
-# message-accounting site: every message is counted inline, and when a
-# sink reads MESSAGE events it is also emitted through Machine._message.
-_READ_REQ, _F_READ_REQ = MsgType.READ_REQ, MsgType.READ_REQ.flits
-_ATOMIC_REQ, _F_ATOMIC_REQ = MsgType.ATOMIC_REQ, MsgType.ATOMIC_REQ.flits
+# message-accounting site: every message is counted inline (a request
+# in Machine._request), and when a sink reads MESSAGE it is also
+# recorded through Machine._message.
+_READ_REQ, _ATOMIC_REQ = MsgType.READ_REQ, MsgType.ATOMIC_REQ
 _COMP_DATA, _F_COMP_DATA = MsgType.COMP_DATA, MsgType.COMP_DATA.flits
 _COMP_ACK, _F_COMP_ACK = MsgType.COMP_ACK, MsgType.COMP_ACK.flits
 _AMO_DATA, _F_AMO_DATA = MsgType.AMO_DATA, MsgType.AMO_DATA.flits
 _SNOOP, _F_SNOOP = MsgType.SNOOP, MsgType.SNOOP.flits
 _SNOOP_RESP, _F_SNOOP_RESP = MsgType.SNOOP_RESP, MsgType.SNOOP_RESP.flits
 _SNOOP_DATA, _F_SNOOP_DATA = MsgType.SNOOP_DATA, MsgType.SNOOP_DATA.flits
-_WRITEBACK, _F_WRITEBACK = MsgType.WRITEBACK, MsgType.WRITEBACK.flits
-_EVICT_NOTIFY, _F_EVICT_NOTIFY = (MsgType.EVICT_NOTIFY,
-                                  MsgType.EVICT_NOTIFY.flits)
+_WRITEBACK, _EVICT_NOTIFY = MsgType.WRITEBACK, MsgType.EVICT_NOTIFY
 _MEM_READ, _F_MEM_READ = MsgType.MEM_READ, MsgType.MEM_READ.flits
 _MEM_DATA, _F_MEM_DATA = MsgType.MEM_DATA, MsgType.MEM_DATA.flits
 _MEM_WRITE, _F_MEM_WRITE = MsgType.MEM_WRITE, MsgType.MEM_WRITE.flits
+
+# Record shapes (see repro.sim.events), built once so that a site costs
+# one tuple and one append.  Names come from ``_name_``, the plain
+# attribute behind the Python-level ``.name`` descriptor.
+_K = EventKind
+#: MESSAGE per MsgType: a plain message, and a request that queued at a
+#: home node (with ``enqueue``/``dequeue``).
+_MESSAGE = {m: shape(_K.MESSAGE, "dequeue", "enqueue", msg=m._name_, count=1)
+            for m in MsgType}
+_REQUEST = {m: shape(_K.MESSAGE, msg=m._name_, count=1) for m in MsgType}
+#: AMO_NEAR / AMO_FAR per (near, op type, AMO kind, audited): ``amt``
+#: only on audited (stamped, decided) AMOs, ``cas_ok`` only on CAS.
+_AMO = {(near, op, amo, audited): shape(
+            _K.AMO_NEAR if near else _K.AMO_FAR, *("amt",) * (not audited),
+            *("cas_ok",) * (amo is not AmoKind.CAS), op=op._name_,
+            amo=amo._name_)
+        for near in (True, False) for op in (OpType.AMO_LOAD, OpType.AMO_STORE)
+        for amo in AmoKind for audited in (True, False)}
+#: OP_RETIRE per (op type, AMO kind or None, drained): ``drain_bd`` only
+#: on a WRITE with hidden drain work, ``exec_bd`` on every AMO_STORE.
+_RETIRE = {(op, amo, drained): shape(
+               _K.OP_RETIRE, *("drain_bd",) * (not drained),
+               *("exec_bd",) * (op is not OpType.AMO_STORE), op=op._name_,
+               **({} if amo is None else {"amo": amo._name_}))
+           for op in (OpType.READ, OpType.WRITE, OpType.AMO_LOAD,
+                      OpType.AMO_STORE)
+           for amo in ((None,) if op < OpType.AMO_LOAD else AmoKind)
+           for drained in (False, True)}
+_SYNC = [shape(_K.SYNC, what=name) for name in MARK_NAMES]
+_INVALIDATION = {st: shape(_K.INVALIDATION, state=st._name_)
+                 for st in CacheState}
+_SNOOP_REC, _DOWNGRADE, _HANDOFF, _SB_STALL, _DRAM_READ, _DRAM_WRITE = (
+    shape(kind) for kind in (_K.SNOOP, _K.DOWNGRADE, _K.LINE_HANDOFF,
+                             _K.STORE_BUFFER_STALL, _K.DRAM_READ,
+                             _K.DRAM_WRITE))
 
 
 class DeferredRead:
@@ -161,10 +191,8 @@ class Machine:
         # Per-core L1/L2 set arrays (geometry is identical across cores),
         # the directory's entry dict, and the traffic meter's message
         # Counter — aliased for the inlined lookup and accounting fast
-        # paths in the handlers.
-        # The inline accounting below is exactly TrafficMeter.record with
-        # count=1, on every path; whenever a sink reads MESSAGE events
-        # (bus.wants_message) each site then emits its event via _message.
+        # paths in the handlers (the accounting is TrafficMeter.record
+        # with count=1).
         self._l1sets = [p._l1_sets for p in self.privates]
         self._l2sets = [p._l2_sets for p in self.privates]
         self._l1n = self.privates[0]._l1_nsets if self.privates else 1
@@ -172,7 +200,7 @@ class Machine:
         self._dir_entries = self.directory._entries
         self._tmsgs = self.traffic.messages
         # Per-op cycle-breakdown scratch (attribution stamps).  None on
-        # the default path; _execute_stamped installs a fresh dict per
+        # the default path; _execute_observed installs a fresh dict per
         # op and the transaction helpers add the components they already
         # compute.  The helpers' ``if bd is not None`` guards sit off the
         # L1-hit fast paths, so default-mode cost is zero.
@@ -198,94 +226,55 @@ class Machine:
             # Sync phase marker: zero cycles, zero instructions, no
             # machine state — architecturally invisible without stamps.
             if bus.wants_sync:
-                bus.emit(Event(EventKind.SYNC, now, core, op.addr >> 6,
-                               info={"what": MARK_NAMES[op.value],
-                                     "addr": op.addr}))
+                bus.append((_SYNC[op.value], now, core, op.addr >> 6,
+                            op.addr))
             return now, None
-        if bus.stamps:
-            return self._execute_stamped(core, op, now)
-        return self._handler(kind)(core, op, now)
+        if bus.observed:
+            return self._execute_observed(core, op, now)
+        return self._HANDLERS[kind](self, core, op, now)
 
-    def _handler(self, kind: OpType):
-        """The transaction handler of a memory-op class."""
-        if kind is OpType.READ:
-            return self._read
-        if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
-            return self._amo
-        if kind is OpType.WRITE:
-            return self._write
-        raise ValueError(f"unknown operation type: {kind!r}")
+    def _execute_observed(self, core: int, op: MemOp,
+                          now: int) -> Tuple[int, Optional[int]]:
+        """Observed execution: the same handler, so the same timing; then
+        an OP_RETIRE record if a sink reads it, and a flush once the bus
+        holds a full block.
 
-    def _execute_stamped(self, core: int, op: MemOp,
-                         now: int) -> Tuple[int, Optional[int]]:
-        """Stamped execution (attribution): the same handler, so the
-        same timing, plus one OP_RETIRE event per op.
-
-        The handler records the per-category cycle breakdown into
-        ``self._bd``.  ``bd`` decomposes the *core-gating* latency (what
-        the issuing core waited); store-class ops additionally carry the
-        breakdown of their hidden drain/execution chain so home-node and
-        NoC work stays attributable even when the store buffer absorbs
-        it.  With no sink reading OP_RETIRE it is the plain handler.
+        For OP_RETIRE the handler fills ``self._bd``.  ``bd`` decomposes
+        the *core-gating* latency (what the issuing core waited); store
+        ops also carry the breakdown of their hidden drain/execution
+        chain, so work the store buffer absorbs stays attributable.
         """
+        bus = self.bus
         kind = op.type
-        handler = self._handler(kind)
-        if not self.bus.wants_op_retire:
-            return handler(core, op, now)
-        bd = self._bd = {}
-        done, result = handler(core, op, now)
-        self._bd = None
-        lat = done - now
-        info: Dict[str, object] = {"op": kind._name_}
-        if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
-            info["amo"] = op.amo._name_
-        info["lat"] = lat
-        if kind is OpType.READ or kind is OpType.AMO_LOAD:
+        if not bus.wants_op_retire:
+            done, result = self._HANDLERS[kind](self, core, op, now)
+        else:
+            bd = self._bd = {}
+            done, result = self._HANDLERS[kind](self, core, op, now)
+            self._bd = None
+            lat = done - now
             if kind is OpType.READ and not bd:
                 # L1/L2 hit fast paths record nothing; classify by latency.
                 bd["l1" if lat == self._l1_lat else "l2"] = lat
-            else:
-                resid = lat - sum(bd.values())
-                if resid:
-                    bd["other"] = resid
-            info["bd"] = bd
-        else:
-            # The core only waited for store-buffer admission; the drain
-            # (WRITE) or the AMO's execution chain (AMO_STORE) is hidden
-            # work (paper Section III-B1).
-            gate: Dict[str, int] = {"issue": 1}
-            stall = bd.pop("sb_stall", 0)
-            if stall:
-                gate["sb_stall"] = stall
-            resid = lat - 1 - stall
+            drain = hidden = None
+            if kind is OpType.WRITE or kind is OpType.AMO_STORE:
+                # The core only waited for store-buffer admission; the
+                # drain (WRITE) or the AMO's execution chain (AMO_STORE)
+                # is hidden work (paper Section III-B1).
+                stall = bd.pop("sb_stall", 0)
+                if kind is OpType.AMO_STORE:
+                    hidden = bd
+                elif bd:
+                    drain = bd
+                bd = {"issue": 1, "sb_stall": stall} if stall else {"issue": 1}
+            resid = lat - sum(bd.values())
             if resid:
-                gate["other"] = resid
-            info["bd"] = gate
-            if kind is OpType.AMO_STORE:
-                info["exec_bd"] = bd
-            elif bd:
-                info["drain_bd"] = bd
-        self.bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
-                            info=info))
+                bd["other"] = resid
+            bus.append((_RETIRE[kind, op.amo, drain is not None], now, core,
+                        op.addr >> 6, bd, drain, hidden, lat))
+        if len(bus.records) >= bus.block_records:
+            bus.flush()
         return done, result
-
-    def _bd_request(self, bd: Dict[str, int], now: int, arrive: int,
-                    ordered: int, line_busy: int) -> None:
-        """Record the request leg shared by every home-node transaction:
-        NoC traversal, then per-line serialization (the paper's central
-        quantity), then structural home-node occupancy, then directory."""
-        bd["noc_req"] = bd.get("noc_req", 0) + (arrive - now)
-        wait = ordered - arrive
-        lw = line_busy - arrive
-        if lw < 0:
-            lw = 0
-        elif lw > wait:
-            lw = wait
-        if lw:
-            bd["hn_line"] = bd.get("hn_line", 0) + lw
-        if wait > lw:
-            bd["hn_busy"] = bd.get("hn_busy", 0) + (wait - lw)
-        bd["dir"] = bd.get("dir", 0) + self._dir_lat
 
     def read_value(self, addr: int) -> int:
         """Architectural value currently stored at ``addr``."""
@@ -354,8 +343,7 @@ class Machine:
             oldest = sb.popleft()
             self.stats.store_buffer_stalls += 1
             if self.bus.wants_store_buffer_stall:
-                self.bus.emit(Event(EventKind.STORE_BUFFER_STALL, now, core,
-                                    info={"stalled_until": oldest}))
+                self.bus.append((_SB_STALL, now, core, -1, oldest))
             visible = oldest + 1
             bd = self._bd
             if bd is not None:
@@ -406,30 +394,10 @@ class Machine:
         """
         stats = self.stats
         stats.read_shared += 1
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
+        slice_id, hn, entry, t_dir = self._request(core, block, now, _READ_REQ)
         tm = self.traffic
         bus = self.bus
-        self._tmsgs[_READ_REQ] += 1
-        tm.flits += _F_READ_REQ
-        tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        if bus.wants_message:
-            self._message(_READ_REQ, self._c2s_hops[core][slice_id],
-                          arrive, ordered)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
 
         owner = entry.owner
         data_from_owner = False
@@ -467,7 +435,7 @@ class Machine:
                     owner_priv.set_state(block, CacheState.SD)
                 stats.downgrades += 1
                 if bus.wants_downgrade:
-                    self._emit_downgrade(owner, block)
+                    bus.append((_DOWNGRADE, bus.now, owner, block))
             else:  # UC owner: forwards clean data, drops to SC.
                 self._record_snoop_traffic(slice_id, owner, with_data=True,
                                            block=block)
@@ -477,7 +445,7 @@ class Machine:
                 self._llc_fill(hn, block)
                 stats.downgrades += 1
                 if bus.wants_downgrade:
-                    self._emit_downgrade(owner, block)
+                    bus.append((_DOWNGRADE, bus.now, owner, block))
         elif hn.llc_lookup(block):
             data_ready = t_dir + self._llc_lat
         else:
@@ -500,28 +468,19 @@ class Machine:
             # once the snoop acknowledgement returns.
             entry.line_busy_until = t_dir + self._snoop_rtt(
                 slice_id, owner if owner is not None else core)
-            self._tmsgs[_COMP_DATA] += 1
-            tm.flits += _F_COMP_DATA
-            tm.flit_hops += _F_COMP_DATA * self._c2c_hops[owner][core]
-            if bus.wants_message:
-                self._message(_COMP_DATA, self._c2c_hops[owner][core])
-            done = data_ready + self._c2c_lat[owner][core] + self._l1_lat
-            if bd is not None:
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._c2c_lat[owner][core])
-                bd["l1"] = bd.get("l1", 0) + self._l1_lat
+            hops, resp = self._c2c_hops[owner][core], self._c2c_lat[owner][core]
         else:
             entry.line_busy_until = data_ready
-            self._tmsgs[_COMP_DATA] += 1
-            tm.flits += _F_COMP_DATA
-            tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            if bus.wants_message:
-                self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
-            done = data_ready + self._s2c_lat[slice_id][core] + self._l1_lat
-            if bd is not None:
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._s2c_lat[slice_id][core])
-                bd["l1"] = bd.get("l1", 0) + self._l1_lat
+            hops, resp = self._s2c_hops[slice_id][core], self._s2c_lat[slice_id][core]
+        self._tmsgs[_COMP_DATA] += 1
+        tm.flits += _F_COMP_DATA
+        tm.flit_hops += _F_COMP_DATA * hops
+        if bus.wants_message:
+            self._message(_COMP_DATA, hops)
+        done = data_ready + resp + self._l1_lat
+        if bd is not None:
+            bd["noc_resp"] = bd.get("noc_resp", 0) + resp
+            bd["l1"] = bd.get("l1", 0) + self._l1_lat
 
         # Grant state: Unique when nobody else holds a copy.
         owner_now = entry.owner
@@ -587,30 +546,10 @@ class Machine:
         """CleanUnique: gain write permission for a block already held
         shared; invalidates all other copies, transfers no data."""
         self.stats.upgrades += 1
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
+        slice_id, hn, entry, t_dir = self._request(core, block, now, _READ_REQ)
         tm = self.traffic
         bus = self.bus
-        self._tmsgs[_READ_REQ] += 1
-        tm.flits += _F_READ_REQ
-        tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        if bus.wants_message:
-            self._message(_READ_REQ, self._c2s_hops[core][slice_id],
-                          arrive, ordered)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
         # CHI-faithful flow: snoop responses return to the HN, which then
         # sends Comp.  With ``direct_inval_acks`` the acks instead travel
         # straight to the requestor and Comp is sent at ordering time.
@@ -653,30 +592,10 @@ class Machine:
         """
         stats = self.stats
         stats.read_unique += 1
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
+        slice_id, hn, entry, t_dir = self._request(core, block, now, _READ_REQ)
         tm = self.traffic
         bus = self.bus
-        self._tmsgs[_READ_REQ] += 1
-        tm.flits += _F_READ_REQ
-        tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        if bus.wants_message:
-            self._message(_READ_REQ, self._c2s_hops[core][slice_id],
-                          arrive, ordered)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
 
         owner = entry.owner
         had_owner = owner is not None and owner != core
@@ -706,11 +625,6 @@ class Machine:
                 bd["llc"] = bd.get("llc", 0) + self._llc_lat
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
-            self._tmsgs[_COMP_DATA] += 1
-            tm.flits += _F_COMP_DATA
-            tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            if bus.wants_message:
-                self._message(_COMP_DATA, self._s2c_hops[slice_id][core])
         else:
             dram_done = self._dram_read(block, t_dir)
             data_at_core = dram_done + self._s2c_lat[slice_id][core]
@@ -718,6 +632,7 @@ class Machine:
                 bd["dram"] = bd.get("dram", 0) + (dram_done - t_dir)
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
+        if not had_owner:  # LLC or DRAM data: home node -> requestor
             self._tmsgs[_COMP_DATA] += 1
             tm.flits += _F_COMP_DATA
             tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
@@ -788,18 +703,14 @@ class Machine:
             self._amo_free[core] = done
         bus = self.bus
         if bus.wants_amo_near if near else bus.wants_amo_far:
-            info = {"op": op.type._name_, "amo": op.amo._name_,
-                    "decided": decided, "latency": done - start}
-            if bus.stamps and decided:
-                # Attribution audit: the policy's pre-decide view.  None
-                # for policies without an AMT (static policies).
-                info["amt"] = audit
-            if op.amo is AmoKind.CAS:
-                # Lock-acquire observability: a CAS succeeded iff the old
-                # value it returned equals the comparand.
-                info["cas_ok"] = value == op.expected
-            bus.emit(Event(EventKind.AMO_NEAR if near else EventKind.AMO_FAR,
-                           start, core, block, info=info))
+            # ``amt`` (stamped decisions only) is the policy's pre-decide
+            # view, None without an AMT; a CAS succeeded iff the old
+            # value it returned equals the comparand.
+            amo = op.amo
+            bus.append((_AMO[near, op.type, amo, bus.stamps and decided],
+                        start, core, block, audit,
+                        value == op.expected if amo is AmoKind.CAS else None,
+                        decided, done - start))
         if not is_load:
             # The core itself only waits for store-buffer admission (plus
             # any backlog from the atomic-ordering chain).
@@ -883,30 +794,10 @@ class Machine:
                  now: int) -> Tuple[int, Optional[int]]:
         """Execute the AMO at the home node (Fig. 2 right)."""
         stats = self.stats
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
+        slice_id, hn, entry, t_dir = self._request(core, block, now, _ATOMIC_REQ)
         tm = self.traffic
         bus = self.bus
-        self._tmsgs[_ATOMIC_REQ] += 1
-        tm.flits += _F_ATOMIC_REQ
-        tm.flit_hops += _F_ATOMIC_REQ * self._c2s_hops[core][slice_id]
-        if bus.wants_message:
-            self._message(_ATOMIC_REQ, self._c2s_hops[core][slice_id],
-                          arrive, ordered)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
 
         # Dirty-holder scan without materializing the holder union set.
         owner = entry.owner
@@ -1000,6 +891,49 @@ class Machine:
     # shared helpers
     # ------------------------------------------------------------------
 
+    def _request(self, core: int, block: int, now: int,
+                 msg: MsgType) -> Tuple[int, HomeNode, DirEntry, int]:
+        """The request leg shared by every home-node transaction: NoC
+        traversal, then per-line serialization (the paper's central
+        quantity), then structural home-node occupancy, then directory.
+
+        Counts the request message and, under stamps, its breakdown;
+        returns ``(slice_id, home node, directory entry, t_dir)``.
+        """
+        slice_id = block % self._nslices
+        hn = self.home_nodes[slice_id]
+        entry = self._dir_entries.get(block)
+        if entry is None:
+            entry = self.directory.entry(block)
+        arrive = now + self._c2s_lat[core][slice_id]
+        line_busy = entry.line_busy_until
+        ordered = line_busy if line_busy > arrive else arrive
+        if hn.busy_until > ordered:
+            ordered = hn.busy_until
+        hops = self._c2s_hops[core][slice_id]
+        tm = self.traffic
+        self._tmsgs[msg] += 1
+        tm.flits += msg.flits
+        tm.flit_hops += msg.flits * hops
+        if self.bus.wants_message:
+            self._message(msg, hops, arrive, ordered)
+        bd = self._bd
+        if bd is not None:
+            bd["noc_req"] = bd.get("noc_req", 0) + (arrive - now)
+            wait = ordered - arrive
+            lw = line_busy - arrive
+            if lw < 0:
+                lw = 0
+            elif lw > wait:
+                lw = wait
+            if lw:
+                bd["hn_line"] = bd.get("hn_line", 0) + lw
+            if wait > lw:
+                bd["hn_busy"] = bd.get("hn_busy", 0) + (wait - lw)
+            bd["dir"] = bd.get("dir", 0) + self._dir_lat
+        hn.busy_until = ordered + self._hn_occ
+        return slice_id, hn, entry, ordered + self._dir_lat
+
     def _snoop_rtt(self, slice_id: int, target: int) -> int:
         """Round-trip cost of snooping ``target`` from ``slice_id``."""
         return 2 * self._s2c_lat[slice_id][target] + self._l1_lat
@@ -1026,8 +960,8 @@ class Machine:
             self._message(_SNOOP, hops)
             self._message(_SNOOP_DATA if with_data else _SNOOP_RESP, hops)
         if snoop_event and bus.wants_snoop:
-            bus.emit(Event(EventKind.SNOOP, bus.now, target, block,
-                           info={"slice": slice_id, "with_data": with_data}))
+            bus.append((_SNOOP_REC, bus.now, target, block, slice_id,
+                        with_data))
 
     def _holder_is_dirty(self, core: int, block: int) -> bool:
         # Inlined PrivateCacheHierarchy.find (L1 then L2) — called in a
@@ -1082,11 +1016,10 @@ class Machine:
             forwards_data = line.state.is_dirty or line.state is CacheState.UC
             self._record_snoop_traffic(slice_id, holder,
                                        with_data=forwards_data, block=block)
-            if self.bus.wants_invalidation:
-                self.bus.emit(Event(
-                    EventKind.INVALIDATION, self.bus.now, holder, block,
-                    info={"state": line.state._name_, "requestor": ack_to,
-                          "was_in_l1": was_in_l1}))
+            bus = self.bus
+            if bus.wants_invalidation:
+                bus.append((_INVALIDATION[line.state], bus.now, holder, block,
+                            ack_to, was_in_l1))
             to_holder = s2c[holder]
             if ack_to is None or not direct:
                 back = to_holder
@@ -1127,25 +1060,19 @@ class Machine:
             entry = self.directory.entry(block)
         entry.drop(core)
         slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
         hops = self._c2s_hops[core][slice_id]
         tm = self.traffic
-        if line.state is CacheState.SC:
-            # LLC already has a copy from the shared grant; just tell the
-            # directory.
-            self._tmsgs[_EVICT_NOTIFY] += 1
-            tm.flits += _F_EVICT_NOTIFY
-            tm.flit_hops += _F_EVICT_NOTIFY * hops
-            if self.bus.wants_message:
-                self._message(_EVICT_NOTIFY, hops)
-            return
-        # UC/UD/SD carry data back; the exclusive LLC allocates it.
-        self._tmsgs[_WRITEBACK] += 1
-        tm.flits += _F_WRITEBACK
-        tm.flit_hops += _F_WRITEBACK * hops
+        # An SC copy only tells the directory (the LLC kept a copy at the
+        # shared grant); UC/UD/SD carry data back, and the exclusive LLC
+        # allocates it.
+        msg = _EVICT_NOTIFY if line.state is CacheState.SC else _WRITEBACK
+        self._tmsgs[msg] += 1
+        tm.flits += msg.flits
+        tm.flit_hops += msg.flits * hops
         if self.bus.wants_message:
-            self._message(_WRITEBACK, hops)
-        self._llc_fill(hn, block)
+            self._message(msg, hops)
+        if msg is _WRITEBACK:
+            self._llc_fill(self.home_nodes[slice_id], block)
 
     def _llc_fill(self, hn: HomeNode, block: int) -> None:
         victim = hn.llc_fill(block)
@@ -1162,8 +1089,7 @@ class Machine:
             if bus.wants_message:
                 self._message(_MEM_WRITE, 1)
             if bus.wants_dram_write:
-                bus.emit(Event(EventKind.DRAM_WRITE, bus.now,
-                               block=victim.block, info={"channel": chan}))
+                bus.append((_DRAM_WRITE, bus.now, -1, victim.block, chan))
 
     def _dram_read(self, block: int, issue_time: int) -> int:
         chan = self.addr_map.channel_of_block(block)
@@ -1181,39 +1107,30 @@ class Machine:
             self._message(_MEM_READ, 1)
             self._message(_MEM_DATA, 1)
         if bus.wants_dram_read:
-            bus.emit(Event(EventKind.DRAM_READ, issue_time,
-                           block=block, info={"channel": chan}))
+            bus.append((_DRAM_READ, issue_time, -1, block, chan))
         return done
 
     def _message(self, msg: MsgType, hops: int,
                  enqueue: Optional[int] = None,
                  dequeue: Optional[int] = None) -> None:
-        """Emit the MESSAGE event of one message the caller has already
-        counted (only called when ``bus.wants_message``).  Requests that serialize at a home
-        node pass ``enqueue``/``dequeue`` (arrival at the ordering point,
-        start of service): sinks histogram the difference as queueing."""
-        info: Dict[str, object] = {"msg": msg._name_, "hops": hops,
-                                   "count": 1}
-        if enqueue is not None:
-            info["enqueue"] = enqueue
-            info["dequeue"] = dequeue
+        """Record a counted message (behind ``bus.wants_message``).  A
+        request queued at a home node passes its arrival at, and start of
+        service from, the ordering point: sinks histogram the queueing."""
         bus = self.bus
-        bus.emit(Event(EventKind.MESSAGE, bus.now, info=info))
-
-    # --- event emission helpers (only called behind the kind's gate) ---
-
-    def _emit_downgrade(self, owner: int, block: int) -> None:
-        bus = self.bus
-        bus.emit(Event(EventKind.DOWNGRADE, bus.now, owner, block))
+        bus.append(((_MESSAGE if enqueue is None else _REQUEST)[msg],
+                    bus.now, -1, -1, dequeue, enqueue, hops))
 
     def _emit_handoff(self, block: int, prev_owner: Optional[int],
                       new_owner: Optional[int]) -> None:
-        """Record an exclusive-ownership transfer; -1 denotes the HN."""
+        """Record an exclusive-ownership transfer (behind
+        ``bus.wants_line_handoff``); -1 denotes the HN."""
         if prev_owner == new_owner:
             return
         bus = self.bus
-        bus.emit(Event(
-            EventKind.LINE_HANDOFF, bus.now,
-            new_owner if new_owner is not None else -1, block,
-            info={"from": prev_owner if prev_owner is not None else -1,
-                  "to": new_owner if new_owner is not None else -1}))
+        new = new_owner if new_owner is not None else -1
+        bus.append((_HANDOFF, bus.now, new, block,
+                    prev_owner if prev_owner is not None else -1, new))
+
+    #: The handler of each memory-op class, indexed by OpType; functions,
+    #: not bound methods, so the machine holds no reference cycle.
+    _HANDLERS = (_read, _write, _amo, _amo)

@@ -19,7 +19,7 @@ from repro.harness.golden import (DEFAULT_DIGEST_PATH, GOLDEN_SCHEMA,
                                   TraceDigestSink, cell_key, digest_cell,
                                   golden_specs, grid_fingerprint,
                                   load_digests, make_spec)
-from repro.sim.events import TraceSink
+from repro.sim.events import CollectorSink, EventKind, TraceSink
 
 DIGEST_PATH = os.path.join(os.path.dirname(__file__), "digests.json")
 
@@ -70,6 +70,41 @@ def test_trace_digest_matches_trace_file(tmp_path):
     on_disk = hashlib.sha256(trace_path.read_bytes()).hexdigest()
     assert hash_sink.hexdigest() == on_disk
     assert hash_sink.events == file_sink.events_written
+
+
+class _StampedDigestSink(TraceDigestSink):
+    wants_stamps = True
+
+
+class _StampedCollector(CollectorSink):
+    wants_stamps = True
+
+
+def test_stamped_trace_round_trips(tmp_path):
+    """A stamped trace file hashes to the stamped digest of the same run,
+    and a collector's Events (which make the bus flush per record) are
+    the file's lines one for one.  AMT snapshots are tuples in an Event
+    and lists in JSON, so each Event is compared by its own JSON bytes.
+    """
+    spec = make_spec("BOOK", "dynamo-reuse-pn", threads=8, scale=0.5)
+    trace_path = tmp_path / "stamped.jsonl"
+    file_sink = TraceSink(str(trace_path), stamps=True)
+    batched = _StampedDigestSink()
+    execute_spec(spec, extra_sinks=(file_sink, batched))
+    file_sink.close()
+    data = trace_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == batched.hexdigest()
+    collector, per_record = _StampedCollector(), _StampedDigestSink()
+    execute_spec(spec, extra_sinks=(collector, per_record))
+    assert per_record.hexdigest() == batched.hexdigest()
+    lines = data.decode().splitlines(keepends=True)
+    assert len(lines) == len(collector.events) == batched.events
+    kinds = set()
+    for event, line in zip(collector.events, lines):
+        assert json.dumps(event.as_dict(), sort_keys=True) + "\n" == line
+        assert json.loads(json.dumps(event.as_dict())) == json.loads(line)
+        kinds.add(event.kind)
+    assert {EventKind.OP_RETIRE, EventKind.SYNC} <= kinds
 
 
 def test_digest_cell_is_reproducible():

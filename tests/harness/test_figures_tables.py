@@ -104,6 +104,20 @@ class TestFigureDrivers:
             assert p99[-1] > p99[0]
             assert throughput[-1] < throughput[0]
 
+    @pytest.mark.parametrize("study,kwargs", [
+        (figures.blame_study, {"workloads": ("BOOK", "AMOCOST")}),
+        (figures.txn_study, {"inputs": ("zipf-0.5", "zipf-1.4"),
+                             "policies": ("all-near",)}),
+    ], ids=["blame", "txn"])
+    def test_instrumented_studies_match_across_jobs(self, study, kwargs):
+        """The blame and txn studies fan their cells out over worker
+        processes; two workers render exactly what one does."""
+        serial = study(jobs=1, **kwargs)
+        parallel = study(jobs=2, **kwargs)
+        assert parallel == serial
+        assert parallel.render() == serial.render()
+        assert any(y != 1.0 for ys in serial.series.values() for y in ys)
+
     def test_energy_study_small(self, tmp_executor):
         data = figures.energy_study(tmp_executor, workloads=("HIST", "RAY"))
         assert "unique-near/total" in data.series

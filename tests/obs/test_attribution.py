@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+from unittest import mock
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.obs.attribution import (AuditSink, BlameSink,
 from repro.obs.attribution.report import (diff_payload, diff_specs,
                                           render_diff, render_why,
                                           why_payload, why_spec)
+from repro.obs.attribution import neutrality
 from repro.obs.attribution.schema import validate
 from repro.obs.perfetto import load_jsonl
 from repro.sim.config import TINY_CONFIG
@@ -172,6 +174,33 @@ class TestStampedStreamPin:
         execute_spec(spec, extra_sinks=(sink,))
         assert (sink.events, sink.hexdigest()) == \
             self.PINS[(workload, policy)]
+
+
+def test_neutrality_main_names_the_first_failing_cell(capsys, monkeypatch):
+    """The corpus-wide stamped neutrality check passes clean cells and
+    names a cell whose stamped run drifts from its digest."""
+    specs = [make_spec("WAT", pol, threads=GOLDEN_THREADS,
+                       scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
+             for pol in ("all-near", "present-near")]
+    # The committed digests live at a path relative to the repo root.
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   os.pardir))
+    assert neutrality.main(specs, jobs=1) == 0
+    assert capsys.readouterr().out.startswith(
+        "stamped: 2 golden cells match their digests (")
+    why_spec = neutrality.why_spec
+
+    def seeded(spec):
+        result = why_spec(spec)
+        if spec.policy == "present-near":
+            result.stats.far_amos += 1
+        return result
+
+    with mock.patch.object(neutrality, "why_spec", seeded):
+        assert neutrality.main(specs, jobs=1) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("stamped: WAT/present-near: far_amos ")
 
 
 class TestStampedPayloadPin:

@@ -6,8 +6,10 @@ counters, and the opt-in sinks (trace, sanitizer, collector) must see a
 stream that reconciles exactly with the run's final statistics.
 """
 
+import hashlib
 import io
 import json
+import os
 import random
 
 import pytest
@@ -18,13 +20,17 @@ from repro.frontend import isa
 from repro.frontend.program import GeneratorProgram
 from repro.harness.executor import execute_spec, make_spec, serialize_result
 from repro.harness.golden import (GOLDEN_POLICIES, GOLDEN_SCALE,
-                                  GOLDEN_SEED, GOLDEN_THREADS)
+                                  GOLDEN_SEED, GOLDEN_THREADS,
+                                  TraceDigestSink)
 from repro.noc.message import MsgType
 from repro.obs.attribution import AuditSink, BlameSink
+from repro.obs.histogram import HistogramSink
+from repro.sim import events
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import run
 from repro.sim.events import (CollectorSink, Event, EventBus, EventKind,
-                              StatsSink, TraceSink, TrafficSink, trace_line)
+                              StatsSink, TraceSink, TrafficSink, event_of,
+                              record_of, trace_line)
 from repro.sim.machine import Machine
 from repro.sync.mutex import PthreadMutex
 
@@ -137,6 +143,40 @@ def test_trace_line_matches_json_dumps(kind, cycle, core, block, info):
         json.dumps(event.as_dict(), sort_keys=True) + "\n"
 
 
+_FIELD_VALUES = {"i": st.integers(), "b": st.booleans(),
+                 "n": st.one_of(st.none(), st.integers()), "j": _values}
+
+
+@st.composite
+def _schema_events(draw):
+    """Events whose info fits their kind's record schema."""
+    kind = draw(st.sampled_from(list(EventKind)))
+    info = {}
+    for name in sorted(kind.consts):
+        if draw(st.booleans()):
+            info[name] = draw(st.one_of(st.text(max_size=6), st.integers()))
+    for name, code in kind.fields:
+        if draw(st.booleans()):
+            info[name] = draw(_FIELD_VALUES[code])
+    return Event(kind, draw(st.integers()), draw(st.integers()),
+                 draw(st.integers()), info or None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(event=_schema_events())
+def test_record_renders_its_trace_line(event):
+    """A shape's generated template renders a record byte-identically
+    to json.dumps of the Event, and the record maps back to the Event."""
+    record = record_of(event)
+    assert record[0].render(record) == trace_line(event)
+    assert event_of(record).as_dict() == event.as_dict()
+
+
+def test_record_of_rejects_fields_outside_the_schema():
+    with pytest.raises(ValueError, match="no field"):
+        record_of(Event(EventKind.SNOOP, 0, info={"latency": 3}))
+
+
 # --- routing by kind ----------------------------------------------------
 
 
@@ -158,17 +198,24 @@ def _golden_spec(workload, policy):
 
 def test_stamped_sinks_build_no_event_they_do_not_read(monkeypatch):
     """BlameSink + AuditSink (``repro why``): no MESSAGE, LLC_ACCESS or
-    L1_EVICTION event is ever constructed, and the simulation is the
-    quiet run's."""
+    L1_EVICTION record is ever built, the sinks fold records without
+    constructing a single Event, and the simulation is the quiet run's."""
     built = []
+    events = []
+    flush = EventBus.flush
     init = Event.__init__
 
+    def counting_flush(self):
+        built.extend(rec[0].kind for rec in self.records)
+        flush(self)
+
     def counting_init(self, kind, *args, **kwargs):
-        built.append(kind)
+        events.append(kind)
         init(self, kind, *args, **kwargs)
 
     spec = _golden_spec("KVS", "dynamo-reuse-pn")
     quiet = serialize_result(execute_spec(spec))
+    monkeypatch.setattr(EventBus, "flush", counting_flush)
     monkeypatch.setattr(Event, "__init__", counting_init)
     stamped = serialize_result(
         execute_spec(spec, extra_sinks=(BlameSink(), AuditSink())))
@@ -176,7 +223,8 @@ def test_stamped_sinks_build_no_event_they_do_not_read(monkeypatch):
     assert kinds == BlameSink.kinds | AuditSink.kinds
     assert not kinds & {EventKind.MESSAGE, EventKind.LLC_ACCESS,
                         EventKind.L1_EVICTION}
-    # AuditSink alone: not even OP_RETIRE events are built.
+    assert events == []
+    # AuditSink alone: not even OP_RETIRE records are built.
     built.clear()
     audited = serialize_result(execute_spec(spec, extra_sinks=(AuditSink(),)))
     assert set(built) == AuditSink.kinds
@@ -185,6 +233,33 @@ def test_stamped_sinks_build_no_event_they_do_not_read(monkeypatch):
     for payload in (stamped, audited, quiet):
         payload.pop("metadata")
     assert stamped == quiet and audited == quiet
+
+
+def test_block_size_does_not_change_what_sinks_see(monkeypatch):
+    """The run-end flush neither drops nor reorders records: the trace
+    digest, the blame + audit payload hash (as TestStampedPayloadPin
+    takes it) and the histogram payload of one golden cell are the same
+    at block sizes 1, 7 and the default."""
+    spec = _golden_spec("WAT", "present-near")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "golden",
+                           "digests.json")) as fh:
+        committed = json.load(fh)["cells"]["WAT/present-near"]
+    seen = []
+    for size in (1, 7, events.BLOCK_RECORDS):
+        monkeypatch.setattr(events, "BLOCK_RECORDS", size)
+        assert EventBus().block_records == size
+        digest = TraceDigestSink()
+        execute_spec(spec, extra_sinks=(digest,))
+        why = execute_spec(spec, extra_sinks=(BlameSink(), AuditSink()))
+        payload = json.dumps([why.metadata["blame"],
+                              why.metadata["amt_audit"]], sort_keys=True)
+        hist = execute_spec(spec, extra_sinks=(HistogramSink(),))
+        seen.append((digest.events, digest.hexdigest(),
+                     hashlib.sha256(payload.encode()).hexdigest(),
+                     hist.metadata["histograms"]))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][:2] == (committed["trace_events"],
+                           committed["trace_sha256"])
 
 
 def test_sanitizer_counts_on_a_golden_cell_are_unchanged():
